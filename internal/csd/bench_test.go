@@ -28,7 +28,8 @@ type stageFixtureT struct {
 	pois     []poi.POI
 	stays    []geo.Point
 	d        *Diagram
-	clusters [][]int
+	cache    components // every component grown and purified
+	all      []int      // every component id
 	leftover []int
 	purified [][]int
 }
@@ -61,14 +62,14 @@ func stageFixture(b *testing.B) *stageFixtureT {
 		}
 		d.Pop = pop
 		stageFix.d = d
-		stageFix.clusters, stageFix.leftover, err = d.popularityClusters(ctx, index.KindGrid)
-		if err != nil {
+		opt := exec.Options{Workers: 1}
+		if stageFix.all, err = stageFix.cache.grow(ctx, d, opt); err != nil {
 			panic(err)
 		}
-		stageFix.purified, err = d.purify(ctx, stageFix.clusters, nil, exec.Options{Workers: 1})
-		if err != nil {
+		if err = stageFix.cache.purify(ctx, d, nil, opt, stageFix.all); err != nil {
 			panic(err)
 		}
+		stageFix.purified, stageFix.leftover = stageFix.cache.units(false)
 	})
 	return &stageFix
 }
@@ -86,18 +87,24 @@ func BenchmarkPopularity(b *testing.B) {
 	}
 }
 
+// BenchmarkClustering measures Algorithm 1 as construction runs it:
+// the ε_p component decomposition plus one growth run per component.
 func BenchmarkClustering(b *testing.B) {
 	fix := stageFixture(b)
 	ctx := context.Background()
+	opt := exec.Options{Workers: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var nc int
 	for i := 0; i < b.N; i++ {
-		clusters, _, err := fix.d.popularityClusters(ctx, index.KindGrid)
-		if err != nil {
+		var cache components
+		if _, err := cache.grow(ctx, fix.d, opt); err != nil {
 			b.Fatal(err)
 		}
-		nc = len(clusters)
+		nc = 0
+		for _, cs := range cache.comps {
+			nc += len(cs.clusters)
+		}
 	}
 	b.ReportMetric(float64(nc), "clusters")
 }
@@ -110,11 +117,15 @@ func BenchmarkPurify(b *testing.B) {
 	b.ResetTimer()
 	var nu int
 	for i := 0; i < b.N; i++ {
-		units, err := fix.d.purify(ctx, fix.clusters, nil, opt)
-		if err != nil {
+		if err := fix.cache.purify(ctx, fix.d, nil, opt, fix.all); err != nil {
 			b.Fatal(err)
 		}
-		nu = len(units)
+		nu = 0
+		for _, cs := range fix.cache.comps {
+			for _, us := range cs.purified {
+				nu += len(us)
+			}
+		}
 	}
 	b.ReportMetric(float64(nu), "units")
 }

@@ -18,14 +18,7 @@ import (
 // stay points derived from a trajectory corpus (§4.1). Stay points only
 // drive the popularity model; they are not stored.
 func Build(pois []poi.POI, stays []geo.Point, params Params) *Diagram {
-	return BuildTraced(pois, stays, params, nil)
-}
-
-// BuildTraced is Build with telemetry recorded on tr (nil-safe).
-func BuildTraced(pois []poi.POI, stays []geo.Point, params Params, tr *obs.Trace) *Diagram {
-	env := stage.Background()
-	env.Trace = tr
-	d, _ := BuildEnv(env, pois, stays, params)
+	d, _ := BuildEnv(stage.Background(), pois, stays, params)
 	return d
 }
 
@@ -33,80 +26,53 @@ func BuildTraced(pois []poi.POI, stays []geo.Point, params Params, tr *obs.Trace
 // popularity model, popularity clustering (Algorithm 1), semantic
 // purification (Algorithm 2), unit merging — records a span under
 // "csd.build", with counters for clusters grown, purification splits,
-// units merged and singletons kept. The popularity sums and the
-// purification split trees run on env's worker pool; env.Opt.Index
-// selects the spatial backend of every range structure built along the
-// way. The diagram is identical for any worker budget. A canceled
-// env.Ctx aborts between units of work with its error and a nil
-// diagram.
+// units merged and singletons kept. The popularity sums, the
+// per-component Algorithm 1 runs and the purification split trees run
+// on env's worker pool; env.Opt.Index selects the spatial backend of
+// every range structure built along the way. The diagram is identical
+// for any worker budget. A canceled env.Ctx aborts between units of
+// work with its error and a nil diagram.
 func BuildEnv(env stage.Env, pois []poi.POI, stays []geo.Point, params Params) (*Diagram, error) {
-	ctx, tr, opt := env.Ctx, env.Trace, env.Opt
 	root := env.StartSpan("csd.build")
 	defer root.End()
-	tr.SetGauge("index.backend", float64(opt.Index))
+	return build(env, root, pois, stays, params, &components{})
+}
 
-	d := &Diagram{
-		Params: params,
-		POIs:   pois,
-		kernel: newKernelFor(params),
-	}
+// build is BuildEnv under a caller-opened root span: the full
+// kernel-sum popularity (Eq. 2–3), then phase 2 filling cache.
+func build(env stage.Env, root *obs.Span, pois []poi.POI, stays []geo.Point, params Params, cache *components) (*Diagram, error) {
+	d := &Diagram{Params: params, POIs: pois, kernel: newKernelFor(params)}
 	sp := root.Start("popularity")
 	err := fault.Hit("csd.popularity")
-	var pop []float64
 	if err == nil {
-		pop, err = popularity(ctx, pois, stays, d.kernel, opt)
+		d.Pop, err = popularity(env.Ctx, pois, stays, d.kernel, env.Opt)
 	}
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	d.Pop = pop
-	exec.Note(tr, len(pois), exec.Workers(opt.Workers))
-
-	sp = root.Start("clustering")
-	var clusters [][]int
-	var leftover []int
-	if err = fault.Hit("csd.clustering"); err == nil {
-		clusters, leftover, err = d.popularityClusters(ctx, opt.Index)
-	}
-	sp.End()
-	if err != nil {
+	exec.Note(env.Trace, len(pois), exec.Workers(env.Opt.Workers))
+	if err := d.phase2(env, root, "", cache); err != nil {
 		return nil, err
 	}
-	tr.Add("csd.clusters.grown", int64(len(clusters)))
+	return d, nil
+}
 
-	if !params.SkipPurification {
-		sp = root.Start("purification")
-		if err = fault.Hit("csd.purification"); err == nil {
-			clusters, err = d.purify(ctx, clusters, tr, opt)
-		}
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
+// BuildFromPopularity runs construction phase 2 on a popularity vector
+// computed elsewhere, recording spans under "csd.frompop". It is the
+// assembly half of the sharded build: internal/shard computes per-POI
+// popularity one tile at a time (exact, because the Gaussian kernel has
+// compact R3σ support), scatters it into one global vector, and hands
+// it here. The result is bit-identical to BuildEnv on the same (pois,
+// stays) pair whenever pop matches BuildEnv's popularity stage
+// bit-for-bit, for any worker count and index backend.
+func BuildFromPopularity(env stage.Env, pois []poi.POI, pop []float64, params Params) (*Diagram, error) {
+	root := env.StartSpan("csd.frompop")
+	defer root.End()
+	d := &Diagram{Params: params, POIs: pois, Pop: pop, kernel: newKernelFor(params)}
+	if err := d.phase2(env, root, "", &components{}); err != nil {
+		return nil, err
 	}
-	if !params.SkipMerging {
-		sp = root.Start("merging")
-		before := len(clusters)
-		if err = fault.Hit("csd.merging"); err == nil {
-			clusters, leftover, err = d.merge(ctx, clusters, leftover, opt.Index)
-		}
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		tr.Add("csd.units.merged", int64(before-len(clusters)))
-	}
-	if params.KeepSingletons {
-		tr.Add("csd.singletons.kept", int64(len(leftover)))
-		for _, i := range leftover {
-			clusters = append(clusters, []int{i})
-		}
-	}
-	sp = root.Start("finalize")
-	d.finalize(clusters, opt.Index)
-	sp.End()
-	tr.Add("csd.units.final", int64(len(d.Units)))
 	return d, nil
 }
 
@@ -115,18 +81,178 @@ func newKernelFor(params Params) geo.GaussianKernel {
 	return geo.NewGaussianKernel(params.R3Sigma)
 }
 
-// popularityClusters implements Algorithm 1 (Popularity Based
-// Clustering). It returns the coarse clusters (each a slice of POI
-// indices) and the leftover POIs that were consumed into sub-MinPts
-// clusters or never reached.
-func (d *Diagram) popularityClusters(ctx context.Context, kind index.Kind) (clusters [][]int, leftover []int, err error) {
-	n := len(d.POIs)
-	locIdx := index.New(kind, poi.Locations(d.POIs), d.Params.EpsP)
-	seeds := make([]int, n)
-	for i := range seeds {
-		seeds[i] = i
+// phase2 is construction phase 2, everything after popularity:
+// Algorithm 1 clustering, Algorithm 2 purification, the Eq. 6–8 merge,
+// singletons and finalize, run on d.Pop. It is the only copy; its
+// callers differ only in where the popularity came from and in the
+// cache they pass. A one-shot build passes an empty cache and discards
+// it, NewMaintainerEnv keeps it, and ApplyDelta passes a working copy
+// with its dirty components emptied and commits it only if phase 2
+// succeeds (on error the cache may hold partial results).
+//
+// The step spans go under root as prefix+"clustering" and
+// prefix+"purification"; merging and finalize go directly under root
+// when prefix is empty and under a prefix+"assemble" span otherwise.
+// The ε_p decomposition of an empty cache runs inside the clustering
+// span.
+func (d *Diagram) phase2(env stage.Env, root *obs.Span, prefix string, cache *components) error {
+	ctx, tr, opt := env.Ctx, env.Trace, env.Opt
+	tr.SetGauge("index.backend", float64(opt.Index))
+
+	sp := root.Start(prefix + "clustering")
+	var regrown []int
+	err := fault.Hit("csd.clustering")
+	if err == nil {
+		regrown, err = cache.grow(ctx, d, opt)
 	}
-	return d.growClusters(ctx, locIdx, seeds, make([]bool, n), make([]bool, n))
+	sp.End()
+	if err != nil {
+		return err
+	}
+	grown := 0
+	for _, c := range regrown {
+		grown += len(cache.comps[c].clusters)
+	}
+	tr.Add("csd.clusters.grown", int64(grown))
+
+	if !d.Params.SkipPurification {
+		sp = root.Start(prefix + "purification")
+		if err = fault.Hit("csd.purification"); err == nil {
+			err = cache.purify(ctx, d, tr, opt, regrown)
+		}
+		sp.End()
+		if err != nil {
+			return err
+		}
+	}
+
+	parent := root
+	if prefix != "" {
+		parent = root.Start(prefix + "assemble")
+		defer parent.End()
+	}
+	units, leftover := cache.units(d.Params.SkipPurification)
+	if !d.Params.SkipMerging {
+		sp = parent.Start("merging")
+		before := len(units)
+		if err = fault.Hit("csd.merging"); err == nil {
+			units, leftover, err = d.merge(ctx, units, leftover, opt.Index)
+		}
+		sp.End()
+		if err != nil {
+			return err
+		}
+		tr.Add("csd.units.merged", int64(before-len(units)))
+	}
+	if d.Params.KeepSingletons {
+		tr.Add("csd.singletons.kept", int64(len(leftover)))
+		for _, i := range leftover {
+			units = append(units, []int{i})
+		}
+	}
+	sp = parent.Start("finalize")
+	d.finalize(units, opt.Index)
+	sp.End()
+	tr.Add("csd.units.final", int64(len(d.Units)))
+	return nil
+}
+
+// components is phase 2's per-component cache: the static ε_p range
+// structure over POI locations, the partition of the POIs into
+// ε_p-connected components, and each component's Algorithm 1–2 state.
+// Algorithm 1's candidate queries and the decomposition both run
+// against locIdx, so a component re-run sees exactly the query results
+// the first run saw. The zero value is an empty cache.
+type components struct {
+	locIdx index.Index
+	of     []int // POI id → component id
+	comps  []compState
+}
+
+// compState is one ε_p-connected component's cache entry. It is filled
+// once Algorithm 1 has run on it (every member then sits in a cluster
+// or in leftover) and empty, to be regrown, while clusters and leftover
+// are both nil.
+type compState struct {
+	// pois are the component's members, ascending.
+	pois []int
+	// clusters are the kept Algorithm 1 clusters grown within the
+	// component, in seed order (each cluster's first element is its
+	// seed, the minimum member id).
+	clusters [][]int
+	// leftover are members in no kept cluster, ascending.
+	leftover []int
+	// purified[i] are the Algorithm 2 unit member lists of clusters[i]
+	// (nil when purification is skipped).
+	purified [][][]int
+}
+
+// clusterRef addresses cluster i of component c.
+type clusterRef struct{ c, i int }
+
+// grow is Algorithm 1 over the cache. It decomposes an empty cache into
+// ε_p components, re-runs growClusters on every empty component over
+// the worker pool, and returns the regrown component ids ascending.
+// Growth only follows ≤ ε_p edges, so a component run touches only its
+// own members: concurrent runs write disjoint elements of the shared
+// bookkeeping, and a clean component's retained clusters stay valid.
+func (c *components) grow(ctx context.Context, d *Diagram, opt exec.Options) ([]int, error) {
+	if c.locIdx == nil {
+		c.locIdx = index.New(opt.Index, poi.Locations(d.POIs), d.Params.EpsP)
+		c.of, c.comps = epsComponents(d.POIs, c.locIdx, d.Params.EpsP)
+	}
+	var regrow []int
+	for k, cs := range c.comps {
+		if cs.clusters == nil && cs.leftover == nil {
+			regrow = append(regrow, k)
+		}
+	}
+	removed := make([]bool, len(d.POIs))
+	inCluster := make([]bool, len(d.POIs))
+	err := exec.ParallelFor(ctx, opt.Workers, len(regrow), func(k int) error {
+		cs := &c.comps[regrow[k]]
+		var err error
+		cs.clusters, cs.leftover, err = d.growClusters(ctx, c.locIdx, cs.pois, removed, inCluster)
+		return err
+	})
+	return regrow, err
+}
+
+// epsComponents decomposes the POI set into ε_p-connected components by
+// flood fill over locIdx. of maps POI id → component id; comps holds
+// each component's POIs ascending, with components ordered by their
+// minimum member id.
+func epsComponents(pois []poi.POI, locIdx index.Index, epsP float64) (of []int, comps []compState) {
+	n := len(pois)
+	of = make([]int, n)
+	for i := range of {
+		of[i] = -1
+	}
+	// Each component's breadth-first queue is a window of one flat
+	// buffer; once drained it is sorted in place into the member list.
+	flat := make([]int, 0, n)
+	var nbr []int
+	for i := 0; i < n; i++ {
+		if of[i] >= 0 {
+			continue
+		}
+		c, start := len(comps), len(flat)
+		of[i] = c
+		flat = append(flat, i)
+		for qi := start; qi < len(flat); qi++ {
+			nbr = locIdx.WithinAppend(pois[flat[qi]].Location, epsP, nbr[:0])
+			for _, k := range nbr {
+				if of[k] < 0 {
+					of[k] = c
+					flat = append(flat, k)
+				}
+			}
+		}
+		ms := flat[start:len(flat):len(flat)]
+		sort.Ints(ms)
+		comps = append(comps, compState{pois: ms})
+	}
+	return of, comps
 }
 
 // growClusters is the growth loop of Algorithm 1 over an explicit seed
@@ -136,12 +262,12 @@ func (d *Diagram) popularityClusters(ctx context.Context, kind index.Kind) (clus
 // removed ("P ← P − {p}") and inCluster are the caller's bookkeeping
 // and must be false for every POI reachable from seeds.
 //
-// The full build passes every POI in ascending order. The incremental
-// maintainer passes one ε_p-connected component's members (ascending)
-// at a time, against the same location index: cluster growth only ever
-// follows ≤ ε_p edges, so a component run touches exactly the POIs and
-// produces exactly the clusters the full run produced within that
-// component — the factorization the dirty-region rebuild rests on.
+// components.grow passes one ε_p-connected component's members
+// (ascending) at a time against one location index: cluster growth
+// only ever follows ≤ ε_p edges, so a component run touches exactly
+// that component's POIs and produces exactly the clusters a single
+// ascending pass over every POI grows within it — the factorization
+// both the parallel fan-out and the dirty-region rebuild rest on.
 // Growth is inherently sequential (each removal changes the candidate
 // set), so the loop stays on one goroutine and only polls ctx between
 // seeds.
@@ -205,31 +331,61 @@ func (d *Diagram) growClusters(ctx context.Context, locIdx index.Index, seeds []
 	return clusters, leftover, nil
 }
 
-// purify implements Algorithm 2 (Semantic Purification): clusters that
-// are neither single-semantic nor spatially tight are split at the
-// median KL divergence from the center POI's local semantic
-// distribution, until every cluster qualifies as a fine-grained unit.
-// KL and fallback-major splits are counted on tr (nil-safe).
-//
-// Each initial cluster's split tree is independent of the others, so
-// the clusters fan out over the worker pool. The sequential version
-// popped a shared LIFO stack seeded with all clusters, which processes
-// cluster n-1's tree first, then n-2's, and so on; concatenating the
-// per-cluster unit lists in reverse input order reproduces that unit
-// order exactly.
-func (d *Diagram) purify(ctx context.Context, clusters [][]int, tr *obs.Trace, opt exec.Options) ([][]int, error) {
-	exec.Note(tr, len(clusters), exec.Workers(opt.Workers))
-	perCluster, err := exec.ParallelMap(ctx, opt.Workers, len(clusters), func(i int) ([][]int, error) {
-		return d.purifyCluster(clusters[i], tr), nil
+// purify implements Algorithm 2 (Semantic Purification) for the
+// clusters of the regrown components: clusters that are neither
+// single-semantic nor spatially tight are split at the median KL
+// divergence from the center POI's local semantic distribution, until
+// every cluster qualifies as a fine-grained unit. KL and fallback-major
+// splits are counted on tr (nil-safe). Each cluster's split tree is
+// independent and deterministic, so the clusters fan out over the
+// worker pool and the worker count never shows in the output.
+func (c *components) purify(ctx context.Context, d *Diagram, tr *obs.Trace, opt exec.Options, regrown []int) error {
+	var refs []clusterRef
+	for _, k := range regrown {
+		cs := &c.comps[k]
+		cs.purified = make([][][]int, len(cs.clusters))
+		for i := range cs.clusters {
+			refs = append(refs, clusterRef{k, i})
+		}
+	}
+	exec.Note(tr, len(refs), exec.Workers(opt.Workers))
+	return exec.ParallelFor(ctx, opt.Workers, len(refs), func(j int) error {
+		cs := &c.comps[refs[j].c]
+		cs.purified[refs[j].i] = d.purifyCluster(cs.clusters[refs[j].i], tr)
+		return nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// units reads the cache out in a single sequential pass's order.
+// Clusters sort by seed id, since components interleave in id space.
+// Purified unit lists concatenate in reverse cluster order, the order
+// the original shared LIFO purification stack emitted (it processed
+// cluster n-1's tree first, then n-2's, and so on). Leftovers merge
+// ascending. Member lists are copied out: merge and finalize append to
+// and sort them in place, and the cache must stay intact for reuse.
+func (c *components) units(skipPurification bool) (units [][]int, leftover []int) {
+	var refs []clusterRef
+	for k, cs := range c.comps {
+		for i := range cs.clusters {
+			refs = append(refs, clusterRef{k, i})
+		}
+		leftover = append(leftover, cs.leftover...)
 	}
-	var units [][]int
-	for i := len(perCluster) - 1; i >= 0; i-- {
-		units = append(units, perCluster[i]...)
+	seed := func(r clusterRef) int { return c.comps[r.c].clusters[r.i][0] }
+	sort.Slice(refs, func(a, b int) bool { return seed(refs[a]) < seed(refs[b]) })
+	sort.Ints(leftover)
+	for j := range refs {
+		if skipPurification {
+			r := refs[j]
+			units = append(units, append([]int(nil), c.comps[r.c].clusters[r.i]...))
+			continue
+		}
+		r := refs[len(refs)-1-j]
+		for _, u := range c.comps[r.c].purified[r.i] {
+			units = append(units, append([]int(nil), u...))
+		}
 	}
-	return units, nil
+	return units, leftover
 }
 
 // purifyCluster runs one cluster's split tree to completion. The paper

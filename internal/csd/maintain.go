@@ -1,13 +1,11 @@
 package csd
 
 import (
-	"context"
 	"sort"
 
 	"csdm/internal/exec"
 	"csdm/internal/geo"
 	"csdm/internal/index"
-	"csdm/internal/obs"
 	"csdm/internal/poi"
 	"csdm/internal/stage"
 )
@@ -42,7 +40,7 @@ import (
 //     magnitude cheaper than the phases above, and rerunning it is what
 //     keeps the guarantee exact instead of halo-approximate (the one
 //     deliberate divergence from a purely local re-merge; see
-//     DESIGN.md §5h).
+//     DESIGN.md §5i).
 //
 // A Maintainer is not safe for concurrent use; each ApplyDelta must
 // complete before the next begins. The diagrams it returns are
@@ -62,37 +60,13 @@ type Maintainer struct {
 	// delta copies first), so served generations stay immutable.
 	pop []float64
 
-	// locIdx is the static ε_p range structure over POI locations —
-	// Algorithm 1's candidate queries and the component decomposition
-	// both run against it, so a component re-run sees exactly the query
-	// results the full build saw.
-	locIdx index.Index
-	comp   []int // POI id → component id
-	comps  []compState
-
-	// removed/inCluster are the growth bookkeeping, reset per dirty
-	// component before reuse (components are disjoint, so stale marks
-	// from another component are never read).
-	removed, inCluster []bool
+	// cache is phase 2's per-component state (the static ε_p location
+	// index, the component partition, per-component clusters, leftovers
+	// and purified units), filled at construction and updated per delta.
+	cache components
 
 	gen     int64
 	diagram *Diagram
-}
-
-// compState is the retained Algorithm 1–2 state of one ε_p-connected
-// component.
-type compState struct {
-	// pois are the component's members, ascending.
-	pois []int
-	// clusters are the kept Algorithm 1 clusters grown within the
-	// component, in seed order (each cluster's first element is its
-	// seed, the minimum member id).
-	clusters [][]int
-	// leftover are members in no kept cluster, ascending.
-	leftover []int
-	// purified[i] are the Algorithm 2 unit member lists of clusters[i]
-	// (nil when purification is skipped).
-	purified [][][]int
 }
 
 // DeltaStats reports what one ApplyDelta did.
@@ -120,88 +94,22 @@ func NewMaintainer(pois []poi.POI, stays []geo.Point, params Params) (*Maintaine
 	return NewMaintainerEnv(stage.Background(), pois, stays, params)
 }
 
-// NewMaintainerEnv is the full-control constructor: it runs the same
-// construction stages as BuildEnv — on env's worker pool and index
-// backend, recording spans under "csd.maintain" — but retains the
-// intermediate state ApplyDelta needs. The initial diagram is
-// bit-identical to BuildEnv's on the same inputs, with Generation 1.
+// NewMaintainerEnv is the full-control constructor: it runs BuildEnv's
+// construction — on env's worker pool and index backend, recording
+// spans under "csd.maintain" — but keeps the per-component cache
+// ApplyDelta needs. The initial diagram is bit-identical to BuildEnv's
+// on the same inputs, with Generation 1.
 func NewMaintainerEnv(env stage.Env, pois []poi.POI, stays []geo.Point, params Params) (*Maintainer, error) {
-	ctx, tr, opt := env.Ctx, env.Trace, env.Opt
 	root := env.StartSpan("csd.maintain")
 	defer root.End()
-
-	m := &Maintainer{
-		params: params,
-		kind:   opt.Index,
-		pois:   pois,
-		kernel: newKernelFor(params),
-		stays:  geo.Pack(stays),
-	}
-
-	sp := root.Start("popularity")
-	pop, err := popularity(ctx, pois, stays, m.kernel, opt)
-	sp.End()
+	m := &Maintainer{params: params, kind: env.Opt.Index, pois: pois, stays: geo.Pack(stays)}
+	d, err := build(env, root, pois, stays, params, &m.cache)
 	if err != nil {
 		return nil, err
 	}
-	m.pop = pop
-
-	n := len(pois)
-	m.locIdx = index.New(opt.Index, poi.Locations(pois), params.EpsP)
-	m.removed = make([]bool, n)
-	m.inCluster = make([]bool, n)
-
-	sp = root.Start("components")
-	m.buildComponents()
-	sp.End()
-	tr.Add("csd.maintain.components", int64(len(m.comps)))
-
-	// One global Algorithm 1 pass (identical to Build's), scattered into
-	// the per-component retained state afterwards: clusters arrive in
-	// ascending seed order and leftovers ascending, so per-component
-	// order falls out of the append.
-	sp = root.Start("clustering")
-	scratch := m.scratchDiagram(pop)
-	seeds := make([]int, n)
-	for i := range seeds {
-		seeds[i] = i
-	}
-	clusters, leftover, err := scratch.growClusters(ctx, m.locIdx, seeds, make([]bool, n), make([]bool, n))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	for _, cl := range clusters {
-		c := m.comp[cl[0]]
-		m.comps[c].clusters = append(m.comps[c].clusters, cl)
-	}
-	for _, i := range leftover {
-		c := m.comp[i]
-		m.comps[c].leftover = append(m.comps[c].leftover, i)
-	}
-
-	if !params.SkipPurification {
-		sp = root.Start("purification")
-		all := make([]int, len(m.comps))
-		for c := range all {
-			all[c] = c
-		}
-		err = m.purifyComponents(ctx, tr, opt, scratch, all)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	m.gen = 1
-	sp = root.Start("assemble")
-	d, err := m.assemble(ctx, pop, m.comps, 0)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	m.diagram = d
-	tr.Add("csd.units.final", int64(len(d.Units)))
+	d.Generation = 1
+	m.kernel, m.pop, m.gen, m.diagram = d.kernel, d.Pop, 1, d
+	env.Trace.Add("csd.maintain.components", int64(len(m.cache.comps)))
 	return m, nil
 }
 
@@ -226,119 +134,6 @@ func (m *Maintainer) SetGeneration(gen int64) {
 // StayCount returns the number of stay points accumulated so far.
 func (m *Maintainer) StayCount() int { return m.stays.Len() }
 
-// scratchDiagram wraps the maintainer's inputs and a popularity slice
-// in a Diagram so the Build-phase methods (growClusters, purifyCluster,
-// merge, finalize) run unchanged against it.
-func (m *Maintainer) scratchDiagram(pop []float64) *Diagram {
-	return &Diagram{Params: m.params, POIs: m.pois, Pop: pop, kernel: m.kernel}
-}
-
-// buildComponents decomposes the POI set into ε_p-connected components
-// by flood fill over locIdx (shared with BuildFromPopularity's
-// per-component clustering fan-out).
-func (m *Maintainer) buildComponents() {
-	var members [][]int
-	m.comp, members = epsComponents(m.pois, m.locIdx, m.params.EpsP)
-	m.comps = make([]compState, len(members))
-	for c, ms := range members {
-		m.comps[c].pois = ms
-	}
-}
-
-// purifyComponents re-runs Algorithm 2 for every cluster of the listed
-// components, fanning the clusters out over the worker pool exactly
-// like Build's purify (results are deterministic per cluster, so the
-// worker count never shows in the output).
-func (m *Maintainer) purifyComponents(ctx context.Context, tr *obs.Trace, opt exec.Options, scratch *Diagram, comps []int) error {
-	type ref struct{ c, i int }
-	var refs []ref
-	for _, c := range comps {
-		cs := &m.comps[c]
-		cs.purified = make([][][]int, len(cs.clusters))
-		for i := range cs.clusters {
-			refs = append(refs, ref{c, i})
-		}
-	}
-	exec.Note(tr, len(refs), exec.Workers(opt.Workers))
-	perCluster, err := exec.ParallelMap(ctx, opt.Workers, len(refs), func(k int) ([][]int, error) {
-		r := refs[k]
-		return scratch.purifyCluster(m.comps[r.c].clusters[r.i], tr), nil
-	})
-	if err != nil {
-		return err
-	}
-	for k, units := range perCluster {
-		r := refs[k]
-		m.comps[r.c].purified[r.i] = units
-	}
-	return nil
-}
-
-// assemble materializes a diagram from per-component retained state:
-// global cluster order is ascending seed id (components interleave
-// exactly as the full build's single pass produced them), units are the
-// reverse-order concatenation Build's purify emits, leftovers merge
-// ascending, and the merge + singleton + finalize phases run globally
-// on the new popularity. Unit member slices are deep-copied out of the
-// retained state so the merge/finalize phases (which append and sort in
-// place) can never corrupt the cache.
-func (m *Maintainer) assemble(ctx context.Context, pop []float64, comps []compState, parent int64) (*Diagram, error) {
-	nd := &Diagram{
-		Params:           m.params,
-		POIs:             m.pois,
-		Pop:              pop,
-		kernel:           m.kernel,
-		Generation:       m.gen,
-		ParentGeneration: parent,
-	}
-	type ref struct{ c, i int }
-	var refs []ref
-	for c := range comps {
-		for i := range comps[c].clusters {
-			refs = append(refs, ref{c, i})
-		}
-	}
-	sort.Slice(refs, func(a, b int) bool {
-		return comps[refs[a].c].clusters[refs[a].i][0] < comps[refs[b].c].clusters[refs[b].i][0]
-	})
-
-	var units [][]int
-	if m.params.SkipPurification {
-		for _, r := range refs {
-			units = append(units, append([]int(nil), comps[r.c].clusters[r.i]...))
-		}
-	} else {
-		// Build's purify concatenates per-cluster unit lists in reverse
-		// cluster order (the shared-LIFO heritage); reproduce it.
-		for j := len(refs) - 1; j >= 0; j-- {
-			r := refs[j]
-			for _, u := range comps[r.c].purified[r.i] {
-				units = append(units, append([]int(nil), u...))
-			}
-		}
-	}
-	var leftover []int
-	for c := range comps {
-		leftover = append(leftover, comps[c].leftover...)
-	}
-	sort.Ints(leftover)
-
-	if !m.params.SkipMerging {
-		var err error
-		units, leftover, err = nd.merge(ctx, units, leftover, m.kind)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if m.params.KeepSingletons {
-		for _, i := range leftover {
-			units = append(units, []int{i})
-		}
-	}
-	nd.finalize(units, m.kind)
-	return nd, nil
-}
-
 // ApplyDelta applies one batch of new stay points and returns the next
 // generation's diagram: delta popularity over the batch only, α-flip
 // dirty marking per ε_p component, Algorithm 1–2 re-runs restricted to
@@ -347,8 +142,9 @@ func (m *Maintainer) assemble(ctx context.Context, pop []float64, comps []compSt
 // so far (same units, same member order, same popularity bits), for any
 // worker count and index backend.
 //
-// On error (cancellation, deadline) the maintainer's retained state is
-// unchanged and the batch is not applied; the caller may retry.
+// On error (cancellation, deadline, injected fault) the maintainer's
+// retained state is unchanged and the batch is not applied; the caller
+// may retry.
 func (m *Maintainer) ApplyDelta(env stage.Env, batch []geo.Point) (*Diagram, DeltaStats, error) {
 	ctx, tr, opt := env.Ctx, env.Trace, env.Opt
 	root := env.StartSpan("csd.delta")
@@ -400,70 +196,56 @@ func (m *Maintainer) ApplyDelta(env stage.Env, batch []geo.Point) (*Diagram, Del
 	// conservative and sound: growth examines a subset of those pairs,
 	// so "no pair flipped" implies an identical re-run.
 	sp = root.Start("delta.dirty")
-	dirtySet := make(map[int]bool)
+	dirty := make(map[int]bool)
 	for _, a := range affected {
-		c := m.comp[a]
-		if dirtySet[c] {
+		c := m.cache.of[a]
+		if dirty[c] {
 			continue
 		}
-		for _, b := range m.comps[c].pois {
+		for _, b := range m.cache.comps[c].pois {
 			if popRatioOK(m.pop[a], m.pop[b], m.params.Alpha) !=
 				popRatioOK(newPop[a], newPop[b], m.params.Alpha) {
-				dirtySet[c] = true
+				dirty[c] = true
 				break
 			}
 		}
 	}
-	dirty := make([]int, 0, len(dirtySet))
-	for c := range dirtySet {
-		dirty = append(dirty, c)
-	}
-	sort.Ints(dirty)
 	sp.End()
 	st.DirtyComponents = len(dirty)
 	tr.Add("csd.delta.dirty_components", int64(len(dirty)))
 
-	// Re-run Algorithms 1–2 on the dirty components against the static
-	// location index and the new popularity. Results go to a working
-	// view first; the maintainer commits only after everything (merge
-	// included) succeeded.
-	scratch := m.scratchDiagram(newPop)
-	view := make([]compState, len(m.comps))
-	copy(view, m.comps)
-	sp = root.Start("delta.clustering")
-	for _, c := range dirty {
-		members := m.comps[c].pois
-		for _, i := range members {
-			m.removed[i] = false
-			m.inCluster[i] = false
-		}
-		clusters, leftover, err := scratch.growClusters(ctx, m.locIdx, members, m.removed, m.inCluster)
-		if err != nil {
-			sp.End()
-			return nil, st, err
-		}
-		view[c] = compState{pois: members, clusters: clusters, leftover: leftover}
+	// Phase 2 on a working copy of the cache with the dirty components
+	// emptied, so it regrows exactly those against the static location
+	// index and the new popularity. Merge and finalize run on the
+	// construction-time backend. The maintainer commits only after
+	// everything succeeded.
+	view := m.cache
+	view.comps = append([]compState(nil), m.cache.comps...)
+	for c := range dirty {
+		view.comps[c] = compState{pois: view.comps[c].pois}
 	}
-	sp.End()
-
-	if !m.params.SkipPurification {
-		sp = root.Start("delta.purification")
-		err := (&maintView{m: m, comps: view}).purify(ctx, tr, opt, scratch, dirty)
-		sp.End()
-		if err != nil {
-			return nil, st, err
-		}
+	d := &Diagram{
+		Params:           m.params,
+		POIs:             m.pois,
+		Pop:              newPop,
+		kernel:           m.kernel,
+		Generation:       m.gen + 1,
+		ParentGeneration: m.gen,
 	}
-	for c := range view {
-		n := 0
+	penv := env
+	penv.Opt.Index = m.kind
+	if err := d.phase2(penv, root, "delta.", &view); err != nil {
+		return nil, st, err
+	}
+	for c, cs := range view.comps {
+		n := len(cs.clusters)
 		if !m.params.SkipPurification {
-			for _, us := range view[c].purified {
+			n = 0
+			for _, us := range cs.purified {
 				n += len(us)
 			}
-		} else {
-			n = len(view[c].clusters)
 		}
-		if dirtySet[c] {
+		if dirty[c] {
 			st.DirtyUnits += n
 		} else {
 			st.ReusedUnits += n
@@ -471,54 +253,9 @@ func (m *Maintainer) ApplyDelta(env stage.Env, batch []geo.Point) (*Diagram, Del
 	}
 	tr.Add("csd.delta.dirty_units", int64(st.DirtyUnits))
 
-	// Assemble the next generation, then commit.
-	gen := m.gen + 1
-	parent := m.gen
-	m.gen = gen
-	sp = root.Start("delta.assemble")
-	d, err := m.assemble(ctx, newPop, view, parent)
-	sp.End()
-	if err != nil {
-		m.gen = parent
-		return nil, st, err
-	}
 	m.stays.Append(batch)
-	m.pop = newPop
-	m.comps = view
-	m.diagram = d
-	st.Generation = gen
+	m.pop, m.cache, m.diagram, m.gen = newPop, view, d, d.Generation
+	st.Generation = m.gen
 	tr.Add("csd.delta.applied", 1)
 	return d, st, nil
-}
-
-// maintView adapts purifyComponents to a working copy of the component
-// state (ApplyDelta must not touch the retained state before commit).
-type maintView struct {
-	m     *Maintainer
-	comps []compState
-}
-
-func (v *maintView) purify(ctx context.Context, tr *obs.Trace, opt exec.Options, scratch *Diagram, comps []int) error {
-	type ref struct{ c, i int }
-	var refs []ref
-	for _, c := range comps {
-		cs := &v.comps[c]
-		cs.purified = make([][][]int, len(cs.clusters))
-		for i := range cs.clusters {
-			refs = append(refs, ref{c, i})
-		}
-	}
-	exec.Note(tr, len(refs), exec.Workers(opt.Workers))
-	perCluster, err := exec.ParallelMap(ctx, opt.Workers, len(refs), func(k int) ([][]int, error) {
-		r := refs[k]
-		return scratch.purifyCluster(v.comps[r.c].clusters[r.i], tr), nil
-	})
-	if err != nil {
-		return err
-	}
-	for k, units := range perCluster {
-		r := refs[k]
-		v.comps[r.c].purified[r.i] = units
-	}
-	return nil
 }

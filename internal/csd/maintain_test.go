@@ -1,11 +1,13 @@
 package csd
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"csdm/internal/exec"
+	"csdm/internal/fault"
 	"csdm/internal/geo"
 	"csdm/internal/index"
 	"csdm/internal/stage"
@@ -202,6 +204,49 @@ func TestApplyDeltaAblationVariants(t *testing.T) {
 			requireSameDiagram(t, full, m.Diagram())
 		})
 	}
+}
+
+// TestApplyDeltaRollsBackOnPhase2Fault: the construction fault sites
+// live in the phase-2 routine every construction path shares, so they
+// fire inside ApplyDelta too. A batch failed that late must leave the
+// maintainer on its previous generation, and retrying it must land
+// exactly where a full build over the union does.
+func TestApplyDeltaRollsBackOnPhase2Fault(t *testing.T) {
+	stays, city := maintWorkload(t)
+	params := DefaultParams()
+	params.KeepSingletons = true
+	env := envWith(2, index.KindGrid)
+	batches := contiguousSplit(stays, 2)
+	m, err := NewMaintainerEnv(env, city.POIs, batches[0], params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, before, count := m.Generation(), m.Diagram(), m.StayCount()
+
+	in, err := fault.Parse("csd.merging:error:1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Activate(in)
+	t.Cleanup(func() { fault.Activate(nil) })
+	if _, _, err := m.ApplyDelta(env, batches[1]); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("ApplyDelta under csd.merging fault: err = %v, want injected fault", err)
+	}
+	if m.Generation() != gen || m.Diagram() != before || m.StayCount() != count {
+		t.Fatalf("failed batch changed the maintainer: gen %d→%d, stays %d→%d, diagram replaced %v",
+			gen, m.Generation(), count, m.StayCount(), m.Diagram() != before)
+	}
+
+	fault.Activate(nil)
+	d, _, err := m.ApplyDelta(env, batches[1])
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	full, err := BuildEnv(env, city.POIs, stays, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameDiagram(t, full, d)
 }
 
 // TestApplyDeltaEmptyBatch: an empty batch must advance the generation

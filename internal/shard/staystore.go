@@ -56,8 +56,8 @@ func (m MemStays) LoadRect(r geo.Rect) ([]int, *geo.PackedPoints, error) {
 const (
 	stayMagic       = "CSDSTAY1"
 	stayVersion     = 1
-	stayHeaderSize  = len(stayMagic) + 8    // magic + version u32 + chunkCap u32
-	chunkHeaderSize = 4 + 4*8               // count u32 + bounds rect (4 × f64)
+	stayHeaderSize  = len(stayMagic) + 8 // magic + version u32 + chunkCap u32
+	chunkHeaderSize = 4 + 4*8            // count u32 + bounds rect (4 × f64)
 	// DefaultChunkCap is the default points-per-chunk (64 KiB of
 	// coordinate data per chunk).
 	DefaultChunkCap = 4096
@@ -189,54 +189,75 @@ type StayStore struct {
 }
 
 // OpenStayStore opens the store at path and scans its chunk directory.
+// Nothing read from the file is trusted before it is checked against
+// the file's size: a truncated chunk header, a chunk count of zero or
+// above the store's chunk capacity, columns that run past the end of
+// the file and malformed chunk bounds are all errors, so a corrupt
+// store can neither drop stays silently nor size an allocation beyond
+// the file itself.
 func OpenStayStore(path string) (*StayStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("shard: open stay store: %w", err)
 	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("shard: stay store header: %w", err)
-	}
-	if string(hdr[:8]) != stayMagic {
-		f.Close()
-		return nil, fmt.Errorf("shard: %s is not a stay store (bad magic)", path)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != stayVersion {
-		f.Close()
-		return nil, fmt.Errorf("shard: stay store version %d, want %d", v, stayVersion)
-	}
 	s := &StayStore{f: f}
-	off := int64(stayHeaderSize)
-	var ch [chunkHeaderSize]byte
-	for {
-		_, err := f.ReadAt(ch[:], off)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("shard: stay store chunk directory: %w", err)
-		}
-		n := int(binary.LittleEndian.Uint32(ch[0:4]))
-		if n <= 0 {
-			f.Close()
-			return nil, fmt.Errorf("shard: stay store: empty chunk at offset %d", off)
-		}
-		s.chunks = append(s.chunks, stayChunk{
-			off:   off + chunkHeaderSize,
-			start: s.total,
-			count: n,
-			bounds: geo.Rect{
-				Min: geo.Point{Lon: math.Float64frombits(binary.LittleEndian.Uint64(ch[4:12])), Lat: math.Float64frombits(binary.LittleEndian.Uint64(ch[12:20]))},
-				Max: geo.Point{Lon: math.Float64frombits(binary.LittleEndian.Uint64(ch[20:28])), Lat: math.Float64frombits(binary.LittleEndian.Uint64(ch[28:36]))},
-			},
-		})
-		s.total += n
-		off += chunkHeaderSize + int64(16*n)
+	if err := s.scan(path); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return s, nil
+}
+
+// scan validates the store header and reads the chunk directory.
+func (s *StayStore) scan(path string) error {
+	fi, err := s.f.Stat()
+	if err != nil {
+		return fmt.Errorf("shard: stay store: %w", err)
+	}
+	size := fi.Size()
+	var hdr [stayHeaderSize]byte
+	if _, err := io.ReadFull(s.f, hdr[:]); err != nil {
+		return fmt.Errorf("shard: stay store header: %w", err)
+	}
+	if string(hdr[:8]) != stayMagic {
+		return fmt.Errorf("shard: %s is not a stay store (bad magic)", path)
+	}
+	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != stayVersion {
+		return fmt.Errorf("shard: stay store version %d, want %d", v, stayVersion)
+	}
+	chunkCap := int64(binary.LittleEndian.Uint32(hdr[12:16]))
+	if chunkCap == 0 {
+		return errors.New("shard: stay store: chunk capacity 0")
+	}
+	var ch [chunkHeaderSize]byte
+	for off := int64(stayHeaderSize); off < size; {
+		if size-off < chunkHeaderSize {
+			return fmt.Errorf("shard: stay store: truncated chunk header at offset %d", off)
+		}
+		if _, err := s.f.ReadAt(ch[:], off); err != nil {
+			return fmt.Errorf("shard: stay store chunk directory: %w", err)
+		}
+		n := int64(binary.LittleEndian.Uint32(ch[0:4]))
+		if n == 0 || n > chunkCap {
+			return fmt.Errorf("shard: stay store: chunk at offset %d holds %d stays, want 1..%d", off, n, chunkCap)
+		}
+		end := off + chunkHeaderSize + 16*n
+		if end > size {
+			return fmt.Errorf("shard: stay store: chunk at offset %d ends at byte %d, past the end of the file (%d bytes)", off, end, size)
+		}
+		bounds := geo.Rect{
+			Min: geo.Point{Lon: math.Float64frombits(binary.LittleEndian.Uint64(ch[4:12])), Lat: math.Float64frombits(binary.LittleEndian.Uint64(ch[12:20]))},
+			Max: geo.Point{Lon: math.Float64frombits(binary.LittleEndian.Uint64(ch[20:28])), Lat: math.Float64frombits(binary.LittleEndian.Uint64(ch[28:36]))},
+		}
+		// Written this way round so NaN bounds fail too.
+		if !(bounds.Min.Lon <= bounds.Max.Lon && bounds.Min.Lat <= bounds.Max.Lat) {
+			return fmt.Errorf("shard: stay store: chunk at offset %d has malformed bounds %v", off, bounds)
+		}
+		s.chunks = append(s.chunks, stayChunk{off: off + chunkHeaderSize, start: s.total, count: int(n), bounds: bounds})
+		s.total += int(n)
+		off = end
+	}
+	return nil
 }
 
 // Len implements StaySource.
@@ -247,7 +268,9 @@ func (s *StayStore) Close() error { return s.f.Close() }
 
 // LoadRect implements StaySource: it reads only the chunks whose
 // bounds intersect r and filters their points, so memory is
-// proportional to the matching region, never the store.
+// proportional to the matching region, never the store. A point outside
+// its chunk's recorded bounds is corruption and an error: the bounds
+// decide which chunks are read, so a lying chunk would drop stays.
 func (s *StayStore) LoadRect(r geo.Rect) ([]int, *geo.PackedPoints, error) {
 	var ids []int
 	pp := &geo.PackedPoints{}
@@ -266,12 +289,17 @@ func (s *StayStore) LoadRect(r geo.Rect) ([]int, *geo.PackedPoints, error) {
 		}
 		lats := buf[8*c.count:]
 		for i := 0; i < c.count; i++ {
-			lon := math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-			lat := math.Float64frombits(binary.LittleEndian.Uint64(lats[8*i:]))
-			if r.Contains(geo.Point{Lon: lon, Lat: lat}) {
+			p := geo.Point{
+				Lon: math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])),
+				Lat: math.Float64frombits(binary.LittleEndian.Uint64(lats[8*i:])),
+			}
+			if !c.bounds.Contains(p) {
+				return nil, nil, fmt.Errorf("shard: stay store chunk at %d: stay %d at %v lies outside the chunk bounds", c.off, c.start+i, p)
+			}
+			if r.Contains(p) {
 				ids = append(ids, c.start+i)
-				pp.Lon = append(pp.Lon, lon)
-				pp.Lat = append(pp.Lat, lat)
+				pp.Lon = append(pp.Lon, p.Lon)
+				pp.Lat = append(pp.Lat, p.Lat)
 			}
 		}
 	}
