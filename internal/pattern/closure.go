@@ -2,8 +2,8 @@ package pattern
 
 import (
 	"context"
-	"fmt"
 	"math"
+	"strconv"
 
 	"csdm/internal/exec"
 	"csdm/internal/geo"
@@ -65,52 +65,74 @@ func newClosureComputer(db []trajectory.SemanticTrajectory, params Params, kind 
 
 // closureScratch is the per-worker reusable state of the closure BFS.
 // The computer itself is shared across workers, so every mutable buffer
-// lives here; maps are emptied with clear() instead of reallocated,
-// which keeps their buckets warm across the many patterns one worker
-// finalizes. Results never depend on leftover scratch contents, so the
-// reuse cannot perturb worker-count determinism.
+// lives here and is reused across the many patterns one worker
+// finalizes. The per-trajectory sets are epoch-stamped marks rather
+// than maps, so starting a new set costs one increment. Results never
+// depend on leftover scratch contents, so the reuse cannot perturb
+// worker-count determinism.
 type closureScratch struct {
-	ids       []int // range-query buffer
-	cand      []int // candidate trajectory list, valid until the next candidates call
-	nearFirst map[int]bool
-	seen      map[int]bool
-	found     map[int]bool
-	tried     map[string]bool
-	frontier  []trajectory.SemanticTrajectory
-	next      []trajectory.SemanticTrajectory
-	keyBuf    []byte
+	ids      []int // range-query buffer
+	cand     []int // candidate trajectory list, valid until the next candidates call
+	near     marks // candidates: near the first endpoint, or already emitted
+	found    marks // supportGroups: trajectories in the closure so far
+	tried    map[string]bool
+	frontier []trajectory.SemanticTrajectory
+	next     []trajectory.SemanticTrajectory
+	keyBuf   []byte
 }
 
 func newClosureScratch() *closureScratch {
-	return &closureScratch{
-		nearFirst: make(map[int]bool),
-		seen:      make(map[int]bool),
-		found:     make(map[int]bool),
-		tried:     make(map[string]bool),
+	return &closureScratch{tried: make(map[string]bool)}
+}
+
+// marks is a reusable set of database trajectory ids. An id is in the
+// set opened by stamp when its mark equals that stamp; a stale mark
+// from an earlier set is always smaller than any stamp taken since, so
+// opening a set needs no clearing. The marks are cleared only when the
+// epoch would wrap.
+type marks struct {
+	at    []uint32
+	epoch uint32
+}
+
+// stamp opens a new, empty set over ids [0, n) and returns its stamp.
+func (m *marks) stamp(n int) uint32 {
+	if len(m.at) < n {
+		m.at = make([]uint32, n)
 	}
+	if m.epoch == math.MaxUint32 {
+		clear(m.at)
+		m.epoch = 0
+	}
+	m.epoch++
+	return m.epoch
 }
 
 // candidates returns the database trajectories having stays within
-// ε_t of both endpoints of the target. The returned slice is sc's and
-// only valid until the next candidates call on the same scratch.
+// ε_t of both endpoints of the target, in the order of the last
+// endpoint's range query. The returned slice is sc's and only valid
+// until the next candidates call on the same scratch.
 func (cc *closureComputer) candidates(target trajectory.SemanticTrajectory, sc *closureScratch) []int {
 	if target.Len() == 0 {
 		return nil
 	}
 	first := target.Stays[0].P
 	last := target.Stays[target.Len()-1].P
-	clear(sc.nearFirst)
-	clear(sc.seen)
+	// One mark slice serves both sets: a trajectory near the first
+	// endpoint carries nearFirst until it is emitted, then emitted.
+	nearFirst := sc.near.stamp(len(cc.db))
+	emitted := sc.near.stamp(len(cc.db))
+	mark := sc.near.at
 	sc.ids = cc.stayIdx.WithinAppend(first, cc.params.MaxDist, sc.ids[:0])
 	for _, si := range sc.ids {
-		sc.nearFirst[cc.stayTraj[si]] = true
+		mark[cc.stayTraj[si]] = nearFirst
 	}
 	out := sc.cand[:0]
 	sc.ids = cc.stayIdx.WithinAppend(last, cc.params.MaxDist, sc.ids[:0])
 	for _, si := range sc.ids {
 		ti := cc.stayTraj[si]
-		if sc.nearFirst[ti] && !sc.seen[ti] {
-			sc.seen[ti] = true
+		if mark[ti] == nearFirst {
+			mark[ti] = emitted
 			out = append(out, ti)
 		}
 	}
@@ -124,8 +146,12 @@ func (cc *closureComputer) key(st trajectory.SemanticTrajectory, sc *closureScra
 	out := sc.keyBuf[:0]
 	for _, sp := range st.Stays {
 		m := cc.proj.ToMeters(sp.P)
-		out = fmt.Appendf(out, "%d:%d:%d;",
-			int(math.Floor(m.X/cc.quantum)), int(math.Floor(m.Y/cc.quantum)), sp.S)
+		out = strconv.AppendInt(out, int64(math.Floor(m.X/cc.quantum)), 10)
+		out = append(out, ':')
+		out = strconv.AppendInt(out, int64(math.Floor(m.Y/cc.quantum)), 10)
+		out = append(out, ':')
+		out = strconv.AppendUint(out, uint64(sp.S), 10)
+		out = append(out, ';')
 	}
 	sc.keyBuf = out
 	return string(out)
@@ -139,9 +165,11 @@ func (cc *closureComputer) supportGroups(rep []trajectory.StayPoint, sc *closure
 	groups := make([][]trajectory.StayPoint, m)
 	query := trajectory.SemanticTrajectory{Stays: rep}
 
-	clear(sc.found)
+	inClosure := sc.found.stamp(len(cc.db))
+	found := sc.found.at
+	support := 0
 	clear(sc.tried)
-	found, tried := sc.found, sc.tried
+	tried := sc.tried
 	tried[cc.key(query, sc)] = true
 	frontier := append(sc.frontier[:0], query)
 	next := sc.next[:0]
@@ -150,14 +178,15 @@ func (cc *closureComputer) supportGroups(rep []trajectory.StayPoint, sc *closure
 		next = next[:0]
 		for _, target := range frontier {
 			for _, ti := range cc.candidates(target, sc) {
-				if found[ti] {
+				if found[ti] == inClosure {
 					continue
 				}
 				idxs, ok := trajectory.Contains(cc.db[ti], target, cc.params)
 				if !ok {
 					continue
 				}
-				found[ti] = true
+				found[ti] = inClosure
+				support++
 				cp := make([]trajectory.StayPoint, len(idxs))
 				for j, k := range idxs {
 					cp[j] = cc.db[ti].Stays[k]
@@ -188,7 +217,7 @@ func (cc *closureComputer) supportGroups(rep []trajectory.StayPoint, sc *closure
 			groups[j] = append(groups[j], sp)
 		}
 	}
-	return len(found), groups
+	return support, groups
 }
 
 // dedupeMaximal keeps only maximal patterns: a pattern is dropped when

@@ -1,9 +1,15 @@
 package pattern
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"csdm/internal/exec"
 	"csdm/internal/index"
 	"csdm/internal/poi"
 	"csdm/internal/trajectory"
@@ -181,5 +187,105 @@ func TestParamsNormalized(t *testing.T) {
 	q := Params{EpsT: 42}.normalized()
 	if q.EpsT != 42 {
 		t.Fatalf("explicit EpsT overwritten: %v", q.EpsT)
+	}
+}
+
+// closureWorkload builds a database of nFlows flows of perFlow
+// trajectories each, with anchors scattered over a side×side square so
+// that some flows overlap, and one pattern per flow whose
+// representative is the flow's first trajectory.
+func closureWorkload(rng *rand.Rand, nFlows, perFlow int, side, spread float64) ([]trajectory.SemanticTrajectory, []Pattern) {
+	sems := []poi.Semantics{home, office, shop}
+	var db []trajectory.SemanticTrajectory
+	var ps []Pattern
+	for f := 0; f < nFlows; f++ {
+		a := [2]float64{rng.Float64() * side, rng.Float64() * side}
+		b := [2]float64{rng.Float64() * side, rng.Float64() * side}
+		s := [2]poi.Semantics{sems[rng.Intn(len(sems))], sems[rng.Intn(len(sems))]}
+		trajs := flow(rng, perFlow, a, b, spread, 30*time.Minute, s)
+		rep := trajs[0].Stays
+		ps = append(ps, Pattern{Stays: rep, Items: []poi.Semantics{rep[0].S, rep[1].S}})
+		db = append(db, trajs...)
+	}
+	rng.Shuffle(len(db), func(i, j int) { db[i], db[j] = db[j], db[i] })
+	return db, ps
+}
+
+func TestFinalizeScratchReuseDeterminism(t *testing.T) {
+	db, ps := closureWorkload(rand.New(rand.NewSource(11)), 30, 20, 2000, 60)
+	params := testParams()
+	params.EpsT = 100
+	run := func(workers int) []Pattern {
+		t.Helper()
+		got, err := finalize(context.Background(), db, append([]Pattern(nil), ps...), params, exec.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	check := func(name string, i, sup int, groups [][]trajectory.StayPoint, want Pattern) {
+		t.Helper()
+		if sup != want.Support {
+			t.Fatalf("%s: pattern %d support %d, want %d", name, i, sup, want.Support)
+		}
+		if !reflect.DeepEqual(groups, want.Groups) {
+			t.Fatalf("%s: pattern %d groups differ from workers 1", name, i)
+		}
+	}
+
+	// Workers 1: one scratch serves every pattern in turn.
+	want := run(1)
+	if len(want) < 10 {
+		t.Fatalf("only %d patterns survived deduplication", len(want))
+	}
+	chained := false
+	for _, p := range want {
+		chained = chained || p.Support > 1
+	}
+	if !chained {
+		t.Fatal("no pattern has support above 1: the workload does not exercise the closure")
+	}
+	for _, workers := range []int{2, 4} {
+		got := run(workers)
+		if len(got) != len(want) {
+			t.Fatalf("workers %d: %d patterns, want %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			check(fmt.Sprintf("workers %d", workers), i, got[i].Support, got[i].Groups, want[i])
+		}
+	}
+
+	// A fresh scratch per pattern, and one scratch whose epochs wrap
+	// within the first patterns while stale marks are still set.
+	cc := newClosureComputer(db, params, index.KindGrid)
+	wrapping := newClosureScratch()
+	wrapping.near.epoch = math.MaxUint32 - 2
+	wrapping.found.epoch = math.MaxUint32 - 2
+	for i, p := range want {
+		sup, groups := cc.supportGroups(p.Stays, newClosureScratch())
+		check("fresh scratch", i, sup, groups, p)
+		sup, groups = cc.supportGroups(p.Stays, wrapping)
+		check("wrapping scratch", i, sup, groups, p)
+	}
+	if wrapping.near.epoch >= math.MaxUint32-2 || wrapping.found.epoch >= math.MaxUint32-2 {
+		t.Fatalf("epochs near=%d found=%d never wrapped", wrapping.near.epoch, wrapping.found.epoch)
+	}
+}
+
+// BenchmarkClosure measures finalize alone: the containment-closure
+// support and groups of about 100 patterns over 3000 trajectories, on
+// one worker so a single scratch serves every pattern.
+func BenchmarkClosure(b *testing.B) {
+	db, ps := closureWorkload(rand.New(rand.NewSource(42)), 100, 30, 5000, 40)
+	params := testParams()
+	params.EpsT = 100
+	work := make([]Pattern, len(ps))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, ps)
+		if _, err := finalize(context.Background(), db, work, params, exec.Options{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -43,9 +43,10 @@ func WriteJSON(w io.Writer, ps []Pattern) error {
 }
 
 // ReadJSON loads a pattern set written by WriteJSON, validating the
-// format version and every stay coordinate so a corrupt or hostile file
-// yields an error, never a pattern with NaN coordinates in a serving
-// response.
+// format version, every stay coordinate and the one-item-per-stay
+// invariant so a corrupt or hostile file yields an error, never a
+// pattern with NaN coordinates in a serving response or one that
+// indexes past its items.
 func ReadJSON(r io.Reader) ([]Pattern, error) {
 	var f patternFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -58,6 +59,9 @@ func ReadJSON(r io.Reader) ([]Pattern, error) {
 	for i, p := range f.Patterns {
 		if len(p.Stays) == 0 {
 			return nil, fmt.Errorf("pattern: pattern %d has no stays", i)
+		}
+		if len(p.Items) != len(p.Stays) {
+			return nil, fmt.Errorf("pattern: pattern %d has %d items for %d stays", i, len(p.Items), len(p.Stays))
 		}
 		if p.Support < 0 {
 			return nil, fmt.Errorf("pattern: pattern %d has negative support %d", i, p.Support)

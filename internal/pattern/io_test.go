@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -94,12 +95,78 @@ func TestPatternJSONRejectsCorrupt(t *testing.T) {
 		{"not json", `{{{`},
 		{"wrong version", `{"version":99,"patterns":[]}`},
 		{"no stays", `{"version":1,"patterns":[{"stays":[],"support":1}]}`},
-		{"negative support", `{"version":1,"patterns":[{"stays":[{"p":{"lon":121.47,"lat":31.23}}],"support":-1}]}`},
-		{"nan-free but out of range", `{"version":1,"patterns":[{"stays":[{"p":{"lon":999,"lat":31.23}}],"support":1}]}`},
+		{"negative support", `{"version":1,"patterns":[{"stays":[{"p":{"lon":121.47,"lat":31.23}}],"items":[1],"support":-1}]}`},
+		{"nan-free but out of range", `{"version":1,"patterns":[{"stays":[{"p":{"lon":999,"lat":31.23}}],"items":[1],"support":1}]}`},
+		{"fewer items than stays", `{"version":1,"patterns":[{"stays":[{"p":{"lon":121.47,"lat":31.23}},{"p":{"lon":121.48,"lat":31.24}}],"items":[1],"support":2}]}`},
+		{"more items than stays", `{"version":1,"patterns":[{"stays":[{"p":{"lon":121.47,"lat":31.23}}],"items":[1,2],"support":2}]}`},
+		{"no items", `{"version":1,"patterns":[{"stays":[{"p":{"lon":121.47,"lat":31.23}}],"support":2}]}`},
 	}
 	for _, tc := range cases {
 		if _, err := ReadJSON(strings.NewReader(tc.in)); err == nil {
 			t.Errorf("%s: ReadJSON accepted corrupt input", tc.name)
 		}
 	}
+}
+
+// samePatterns reports whether two pattern sets agree on everything
+// WriteJSON persists: stays (times by instant), items and support.
+func samePatterns(a, b []Pattern) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Support != b[i].Support || len(a[i].Stays) != len(b[i].Stays) || !slices.Equal(a[i].Items, b[i].Items) {
+			return false
+		}
+		for k, sp := range a[i].Stays {
+			o := b[i].Stays[k]
+			if sp.P != o.P || sp.S != o.S || !sp.T.Equal(o.T) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzReadPatternsJSON pins the pattern-file reader contract on
+// arbitrary bytes: ReadJSON never panics, an accepted set holds one
+// item per stay and only valid coordinates, and writing it back and
+// reading it again gives the same set.
+func FuzzReadPatternsJSON(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, samplePatterns()); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	for _, cut := range []int{0, 1, 12, len(valid) / 3, len(valid) / 2, len(valid) - 2} {
+		f.Add(valid[:cut])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ps, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, p := range ps {
+			if len(p.Items) != len(p.Stays) {
+				t.Fatalf("pattern %d: %d items for %d stays", i, len(p.Items), len(p.Stays))
+			}
+			for k, sp := range p.Stays {
+				if err := sp.P.Check(); err != nil {
+					t.Fatalf("pattern %d stay %d: %v", i, k, err)
+				}
+			}
+		}
+		var out bytes.Buffer
+		if err := WriteJSON(&out, ps); err != nil {
+			t.Fatalf("accepted set does not write back: %v", err)
+		}
+		again, err := ReadJSON(&out)
+		if err != nil {
+			t.Fatalf("written set does not read back: %v", err)
+		}
+		if !samePatterns(ps, again) {
+			t.Fatal("write-read round trip changed the pattern set")
+		}
+	})
 }

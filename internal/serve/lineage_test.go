@@ -17,6 +17,7 @@ import (
 	"csdm/internal/csd"
 	"csdm/internal/obs"
 	"csdm/internal/pattern"
+	"csdm/internal/poi"
 	"csdm/internal/trajectory"
 )
 
@@ -42,6 +43,7 @@ func samplePatterns(n int) []pattern.Pattern {
 	for i := range ps {
 		ps[i] = pattern.Pattern{
 			Stays:   []trajectory.StayPoint{{P: at(float64(i), 0), T: time.Unix(int64(1000+i), 0).UTC()}},
+			Items:   []poi.Semantics{0},
 			Support: i + 2,
 		}
 	}
