@@ -338,9 +338,9 @@ func BenchmarkIndexComparison(b *testing.B) {
 // pin the worker budget along the scaling curve {1, 4, NumCPU}:
 // workers-1 is the sequential baseline and the higher counts measure
 // the execution layer's speedup on the same (bit-identical) mining
-// output; workers-4 is the curve point the CI efficiency gate reads.
+// output; workers-4 is the curve point TestParallelEfficiencyFloor
+// checks.
 func BenchmarkMine(b *testing.B) {
-	params := benchParams()
 	set := map[int]bool{1: true, 4: true, runtime.NumCPU(): true}
 	counts := make([]int, 0, len(set))
 	for n := range set {
@@ -348,18 +348,26 @@ func BenchmarkMine(b *testing.B) {
 	}
 	sort.Ints(counts)
 	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Workers = workers
-			env := experiments.SetupConfig(benchScale(), cfg)
-			env.Pipeline.Database(core.RecCSD)
-			b.ResetTimer()
-			var n int
-			for i := 0; i < b.N; i++ {
-				n = len(env.Pipeline.Mine(core.CSDPM, params))
-			}
-			b.ReportMetric(float64(n), "patterns")
-		})
+		b.Run(fmt.Sprintf("workers-%d", workers), mineBench(workers))
+	}
+}
+
+// mineBench builds the bench city at a pinned worker budget and
+// returns a benchmark of CSD-PM extraction over its prebuilt
+// recognition database, so only extraction is measured.
+func mineBench(workers int) func(*testing.B) {
+	cfg := core.DefaultConfig()
+	cfg.Workers = workers
+	env := experiments.SetupConfig(benchScale(), cfg)
+	env.Pipeline.Database(core.RecCSD)
+	params := benchParams()
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		var n int
+		for i := 0; i < b.N; i++ {
+			n = len(env.Pipeline.Mine(core.CSDPM, params))
+		}
+		b.ReportMetric(float64(n), "patterns")
 	}
 }
 

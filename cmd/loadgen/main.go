@@ -4,7 +4,7 @@
 // Usage:
 //
 //	loadgen -url http://localhost:7070 [-concurrency 8] [-duration 10s]
-//	        [-stays 4] [-seed 1] [-out report.json] [-bench BENCH_SERVE.json]
+//	        [-stays 4] [-seed 1] [-out report.json]
 //	        [-min-ok N] [-min-shed N] [-max-errors N]
 //
 // Each worker keeps one request in flight (closed loop), sampling stay
@@ -17,8 +17,7 @@
 // The -min-ok/-min-shed/-max-errors flags turn the run into an
 // assertion: the exit code is 1 when the thresholds are not met, which
 // is how CI asserts "a mix of 200s and 503s under 2× overload" without
-// parsing JSON. -bench writes the BENCH_SERVE.json document that
-// cmd/benchgate -serve gates against the committed baseline.
+// parsing JSON.
 package main
 
 import (
@@ -29,7 +28,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 	"time"
 
 	"csdm/internal/ckpt"
@@ -48,8 +46,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "synthetic stream seed")
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-request client timeout")
 		out         = flag.String("out", "", "write the load report as JSON to this file")
-		bench       = flag.String("bench", "", "write a BENCH_SERVE.json document to this file")
-		admLimit    = flag.Int("admission-limit", 0, "server's admission limit, recorded in the -bench document")
 		minOK       = flag.Int64("min-ok", 0, "fail unless at least this many requests were served")
 		minShed     = flag.Int64("min-shed", 0, "fail unless at least this many requests were shed")
 		maxErrors   = flag.Int64("max-errors", 0, "fail when more than this many requests errored")
@@ -77,19 +73,12 @@ func main() {
 	}
 
 	if *out != "" {
-		if err := writeJSONFile(*out, rep); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *bench != "" {
-		doc := serve.BenchServeReport{
-			Benchmark:      "LoadgenRecognize",
-			GoMaxProcs:     runtime.GOMAXPROCS(0),
-			NumCPU:         runtime.NumCPU(),
-			AdmissionLimit: *admLimit,
-			Results:        []serve.BenchServeResult{rep.BenchResult()},
-		}
-		if err := writeJSONFile(*bench, doc); err != nil {
+		err := ckpt.WriteAtomic(*out, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(rep)
+		})
+		if err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -114,12 +103,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-func writeJSONFile(path string, v any) error {
-	return ckpt.WriteAtomic(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(v)
-	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -223,6 +224,30 @@ type recognizedStay struct {
 	Semantics []string `json:"semantics"`
 }
 
+// decodeRecognizeRequest reads body as exactly one JSON value: a body
+// over the size limit is 413, and one that is malformed or carries
+// anything but whitespace after the value is 400.
+func decodeRecognizeRequest(body io.Reader) (recognizeRequest, error) {
+	var req recognizeRequest
+	dec := json.NewDecoder(body)
+	err := dec.Decode(&req)
+	if err == nil {
+		switch err = dec.Decode(&json.RawMessage{}); err {
+		case io.EOF:
+			return req, nil
+		case nil:
+			err = errors.New("trailing data after the JSON value")
+		default:
+			err = fmt.Errorf("trailing data after the JSON value: %w", err)
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return req, &httpError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+	}
+	return req, badRequest("bad request body: %v", err)
+}
+
 // handleRecognize annotates the posted stay points against the live
 // snapshot (Algorithm 3), loading the snapshot exactly once so a
 // concurrent hot-swap cannot split one journey across generations.
@@ -231,10 +256,9 @@ func (s *Server) handleRecognize(ctx context.Context, w http.ResponseWriter, r *
 	if snap == nil {
 		return &httpError{code: http.StatusServiceUnavailable, msg: "no snapshot loaded"}
 	}
-	var req recognizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		return badRequest("bad request body: %v", err)
+	req, err := decodeRecognizeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		return err
 	}
 	if len(req.Stays) == 0 {
 		return badRequest("no stays to recognize")

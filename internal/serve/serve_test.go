@@ -173,29 +173,85 @@ func TestRecognizeEndpoint(t *testing.T) {
 }
 
 func TestRecognizeRejectsBadInput(t *testing.T) {
-	s := newTestServer(t, Config{})
+	const maxBody = 256
+	s := newTestServer(t, Config{MaxBodyBytes: maxBody})
+	valid := fmt.Sprintf(`{"stays":[{"lon":%f,"lat":%f}]}`, origin.Lon, origin.Lat)
 	cases := []struct {
 		name string
 		body string
+		code int
 	}{
-		{"empty stays", `{"stays":[]}`},
-		{"not json", `{{{`},
-		{"bad coordinate", `{"stays":[{"lon":400,"lat":31.2}]}`},
+		{"empty stays", `{"stays":[]}`, http.StatusBadRequest},
+		{"not json", `{{{`, http.StatusBadRequest},
+		{"bad coordinate", `{"stays":[{"lon":400,"lat":31.2}]}`, http.StatusBadRequest},
+		{"trailing garbage", valid + "garbage", http.StatusBadRequest},
+		{"trailing value", valid + valid, http.StatusBadRequest},
+		{"value over the limit", `{"stays":` + strings.Repeat(" ", maxBody) + `[]}`, http.StatusRequestEntityTooLarge},
+		{"trailing data over the limit", valid + strings.Repeat(" ", maxBody), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		w := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodPost, "/v1/recognize", strings.NewReader(tc.body))
 		s.Handler().ServeHTTP(w, req)
-		if w.Code != http.StatusBadRequest {
-			t.Errorf("%s: code = %d, want 400", tc.name, w.Code)
+		if w.Code != tc.code {
+			t.Errorf("%s: code = %d, want %d", tc.name, w.Code, tc.code)
 		}
 	}
-	// Wrong method is rejected before any work.
+	// Trailing whitespace is not trailing data.
 	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/recognize", strings.NewReader(valid+"\n")))
+	if w.Code != http.StatusOK {
+		t.Fatalf("valid body with a trailing newline = %d: %s", w.Code, w.Body.String())
+	}
+	// Wrong method is rejected before any work.
+	w = httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/recognize", nil))
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/recognize = %d, want 405", w.Code)
 	}
+}
+
+// FuzzRecognizeBody posts arbitrary bodies to /v1/recognize. No body
+// may panic the server or earn a 5xx. A 2xx needs a body within the
+// size limit that json.Unmarshal (which, unlike the handler's streaming
+// decoder, rejects trailing data by itself) reads as at least one stay,
+// every stay a valid coordinate.
+func FuzzRecognizeBody(f *testing.F) {
+	const maxBody = 4096
+	h := newTestServer(f, Config{MaxBodyBytes: maxBody}).Handler()
+	valid := fmt.Sprintf(`{"stays":[{"lon":%f,"lat":%f}]}`, origin.Lon, origin.Lat)
+	for _, seed := range []string{
+		valid, valid + "garbage", valid + valid, valid + " \n",
+		`{"stays":[]}`, `{"stays":null}`, `{"stays":[{"lon":400,"lat":31.2}]}`,
+		`{"stays":[{"lon":"x"}]}`, `[]`, `{{{`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/recognize", bytes.NewReader(body)))
+		if w.Code >= 500 {
+			t.Fatalf("status %d for body %q: %s", w.Code, body, w.Body.String())
+		}
+		if w.Code >= 300 {
+			return
+		}
+		if len(body) > maxBody {
+			t.Fatalf("status %d for a %d-byte body over the %d-byte limit", w.Code, len(body), maxBody)
+		}
+		var req recognizeRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("status %d for body %q that does not decode: %v", w.Code, body, err)
+		}
+		if len(req.Stays) == 0 {
+			t.Fatalf("status %d for body %q with no stays", w.Code, body)
+		}
+		for i, p := range req.Stays {
+			if err := geo.CheckCoord(p.Lon, p.Lat); err != nil {
+				t.Fatalf("status %d for body %q with invalid stay %d: %v", w.Code, body, i, err)
+			}
+		}
+	})
 }
 
 func TestUnitsEndpoint(t *testing.T) {

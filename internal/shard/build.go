@@ -58,8 +58,10 @@ type Stats struct {
 	TotalStays  int
 	LoadedStays int
 	// MaxShardStays is the largest single shard's halo load — the
-	// build's resident-stay high-water mark per worker, and the number
-	// BENCH_SHARD.json records as the out-of-core proxy.
+	// build's resident-stay high-water mark per worker, and the
+	// out-of-core proxy behind the repository benchmark's
+	// shard.resident_frac and the residency ceiling in the root
+	// package's sharded-equivalence test.
 	MaxShardStays int
 	// MaxShardPOIs is the largest owned POI set.
 	MaxShardPOIs int
@@ -163,16 +165,7 @@ func Build(env stage.Env, pois []poi.POI, src StaySource, cfg Config) (*csd.Diag
 			return sp, nil
 		}).Checkpoint(stage.Codec[shardPop]{
 			Encode: func(w io.Writer, sp shardPop) error { return json.NewEncoder(w).Encode(sp) },
-			Decode: func(r io.Reader) (shardPop, error) {
-				var sp shardPop
-				if err := json.NewDecoder(r).Decode(&sp); err != nil {
-					return sp, err
-				}
-				if sp.Total != totalStays || len(sp.Pop) != len(own) || !equalInts(sp.POIs, own) {
-					return sp, fmt.Errorf("shard: tile %d checkpoint does not match the current plan/dataset", tile.ID)
-				}
-				return sp, nil
-			},
+			Decode: func(r io.Reader) (shardPop, error) { return decodeShardPop(r, tile.ID, own, totalStays) },
 		})
 	}
 
@@ -222,6 +215,19 @@ func Build(env stage.Env, pois []poi.POI, src StaySource, cfg Config) (*csd.Diag
 		return nil, st, err
 	}
 	return d, st, nil
+}
+
+// decodeShardPop reads tile's popularity checkpoint and refuses it
+// unless it was written for the same owned POI set and stay count.
+func decodeShardPop(r io.Reader, tile int, own []int, totalStays int) (shardPop, error) {
+	var sp shardPop
+	if err := json.NewDecoder(r).Decode(&sp); err != nil {
+		return sp, err
+	}
+	if sp.Total != totalStays || len(sp.Pop) != len(own) || !equalInts(sp.POIs, own) {
+		return sp, fmt.Errorf("shard: tile %d checkpoint does not match the current plan/dataset", tile)
+	}
+	return sp, nil
 }
 
 func equalInts(a, b []int) bool {

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -317,4 +319,47 @@ func TestShardedBuildRejectsStaleCheckpoint(t *testing.T) {
 		t.Fatalf("ResumedShards = %d after dataset grew, want 0", st.ResumedShards)
 	}
 	requireSame(t, ref, d)
+}
+
+// FuzzDecodeShardPop feeds arbitrary bytes to the shard popularity
+// checkpoint decoder. It must never panic, and a checkpoint it accepts
+// must belong to the tile's owned POI set and stay count and survive an
+// encode/decode round trip unchanged.
+func FuzzDecodeShardPop(f *testing.F) {
+	own := []int{2, 5, 7}
+	const total = 100
+	valid, err := json.Marshal(shardPop{POIs: own, Pop: []float64{0.5, 0, 1e-300}, Stays: 40, Total: total})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(valid),
+		`{"pois":[2,5,7],"pop":[1,2,3],"stays":40,"total_stays":99}`,
+		`{"pois":[2,5,8],"pop":[1,2,3],"stays":40,"total_stays":100}`,
+		`{"pois":[2,5,7],"pop":[1,2],"stays":40,"total_stays":100}`,
+		`{"pois":[2,5,7],"pop":[1,2,3e999],"stays":40,"total_stays":100}`,
+		string(valid[:len(valid)/2]), `null`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := decodeShardPop(bytes.NewReader(data), 3, own, total)
+		if err != nil {
+			return
+		}
+		if sp.Total != total || len(sp.Pop) != len(own) || !equalInts(sp.POIs, own) {
+			t.Fatalf("accepted a checkpoint for another plan or dataset: %+v", sp)
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(sp); err != nil {
+			t.Fatal(err)
+		}
+		again, err := decodeShardPop(&buf, 3, own, total)
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, sp) {
+			t.Fatalf("round trip changed the checkpoint: %+v -> %+v", sp, again)
+		}
+	})
 }

@@ -25,6 +25,11 @@ import (
 	"csdm/internal/stage"
 )
 
+// maxResidentFraction caps the largest shard's halo load as a share of
+// the stay corpus. Both counts are deterministic: the bench city loads
+// 0.49 of its stays into the largest shard at 2x2 and 0.25 at 4x4.
+const maxResidentFraction = 0.75
+
 func TestShardedBuildEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded equivalence sweep skipped in -short")
@@ -102,8 +107,8 @@ func TestShardedBuildEquivalence(t *testing.T) {
 					if !reflect.DeepEqual(d.Units, refEnv.Units) {
 						t.Fatalf("unit sets diverge: sharded %d units, monolithic %d", len(d.Units), len(refEnv.Units))
 					}
-					if st.MaxShardStays >= st.TotalStays {
-						t.Fatalf("no shard locality: max resident %d of %d total stays", st.MaxShardStays, st.TotalStays)
+					if frac := float64(st.MaxShardStays) / float64(st.TotalStays); frac > maxResidentFraction {
+						t.Fatalf("max resident %d of %d total stays (%.2f) > %.2f", st.MaxShardStays, st.TotalStays, frac, maxResidentFraction)
 					}
 				})
 			}
