@@ -23,6 +23,7 @@ import (
 	"csdm/internal/pattern"
 	"csdm/internal/poi"
 	"csdm/internal/recognize"
+	"csdm/internal/stage"
 	"csdm/internal/synth"
 )
 
@@ -403,7 +404,11 @@ func BenchmarkAblationSemanticFree(b *testing.B) {
 	var csdpm, tpat int
 	for i := 0; i < b.N; i++ {
 		csdpm = len(env.Pipeline.Mine(core.CSDPM, params))
-		tpat = len(pattern.Compat{E: pattern.NewTPattern()}.Extract(db, params))
+		ps, err := pattern.NewTPattern().Extract(stage.Background(), db, params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tpat = len(ps)
 	}
 	b.ReportMetric(float64(csdpm), "csdpm-patterns")
 	b.ReportMetric(float64(tpat), "tpattern-patterns")

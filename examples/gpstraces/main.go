@@ -8,11 +8,13 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"sort"
 
 	"csdm"
 	"csdm/internal/pattern"
 	"csdm/internal/recognize"
+	"csdm/internal/stage"
 	"csdm/internal/synth"
 	"csdm/internal/trajectory"
 )
@@ -67,7 +69,10 @@ func main() {
 	// trajectories.
 	params := csdm.DefaultMiningParams()
 	params.Sigma = 12
-	patterns := pattern.Compat{E: pattern.NewCounterpartCluster()}.Extract(db, params)
+	patterns, err := pattern.NewCounterpartCluster().Extract(stage.Background(), db, params)
+	if err != nil {
+		log.Fatal(err)
+	}
 	s := csdm.Summarize(patterns)
 	fmt.Printf("\nCSD-PM over raw traces: %d patterns, coverage %d, sparsity %.1f m, consistency %.3f\n",
 		s.NumPatterns, s.Coverage, s.MeanSparsity, s.MeanConsistency)

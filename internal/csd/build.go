@@ -624,5 +624,6 @@ func (d *Diagram) finalize(clusters [][]int, kind index.Kind) {
 	for k, i := range d.members {
 		pts[k] = d.POIs[i].Location
 	}
-	d.memberIdx = index.New(kind, pts, d.Params.R3Sigma)
+	d.memberPP = geo.Pack(pts)
+	d.memberIdx = index.NewPacked(kind, d.memberPP, d.Params.R3Sigma)
 }

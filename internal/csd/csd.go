@@ -18,7 +18,6 @@ package csd
 import (
 	"context"
 	"math"
-	"sort"
 
 	"csdm/internal/exec"
 	"csdm/internal/geo"
@@ -111,9 +110,11 @@ type Diagram struct {
 	// unitOf maps each POI index to its unit ID, or -1 when the POI
 	// belongs to no unit.
 	unitOf []int
-	// memberIdx indexes the locations of unit-member POIs only; ids are
-	// POI indices (remapped through members).
+	// memberIdx indexes memberPP, the packed locations of unit-member
+	// POIs only; its ids are member positions, and members[k] is the
+	// POI index of position k.
 	memberIdx index.Index
+	memberPP  *geo.PackedPoints
 	members   []int
 	kernel    geo.GaussianKernel
 }
@@ -146,12 +147,28 @@ func (d *Diagram) MembersWithin(p geo.Point, radius float64) []int {
 // loops reuse one buffer per worker to keep Algorithm 3 allocation-free.
 func (d *Diagram) MembersWithinAppend(p geo.Point, radius float64, buf []int) []int {
 	start := len(buf)
-	buf = d.memberIdx.WithinAppend(p, radius, buf)
+	buf = d.MemberSlotsWithinAppend(p, radius, buf)
 	for k := start; k < len(buf); k++ {
 		buf[k] = d.members[buf[k]]
 	}
 	return buf
 }
+
+// MemberSlotsWithinAppend is MembersWithinAppend without the remap: it
+// appends member positions k, in the same order, for callers that read
+// the member's packed coordinates (MemberPoints) as well as its POI
+// index (Member).
+func (d *Diagram) MemberSlotsWithinAppend(p geo.Point, radius float64, buf []int) []int {
+	return d.memberIdx.WithinAppend(p, radius, buf)
+}
+
+// Member returns the POI index of member position k.
+func (d *Diagram) Member(k int) int { return d.members[k] }
+
+// MemberPoints returns the packed locations of the unit-member POIs,
+// indexed by member position, Cos column included. The store is shared
+// with the diagram's index and must not be modified.
+func (d *Diagram) MemberPoints() *geo.PackedPoints { return d.memberPP }
 
 // Coverage returns the fraction of input POIs that belong to some unit.
 func (d *Diagram) Coverage() float64 {
@@ -202,8 +219,9 @@ func Popularity(pois []poi.POI, stays []geo.Point, kernel geo.GaussianKernel) []
 
 // popularity is the execution-layer core of Popularity: each POI's
 // kernel sum is independent, so the loop fans out over the worker pool.
-// pop[i] is accumulated in ascending stay-id order regardless of the
-// worker count or the index backend's result order, so the sums are
+// pop[i] is geo.WeightSumInto over the stay ids WithinSortedAppend
+// returns, so it is accumulated in ascending stay-id order regardless
+// of the worker count or the index backend, and the sums are
 // bit-identical across budgets AND across spatial backends — and, since
 // stay points are only ever appended, a later delta batch continues
 // each POI's float-addition chain exactly where the full build left it
@@ -217,18 +235,14 @@ func popularity(ctx context.Context, pois []poi.POI, stays []geo.Point, kernel g
 	if len(stays) == 0 {
 		return pop, nil
 	}
-	stayIdx := index.New(opt.Index, stays, kernel.Radius())
+	pp := geo.Pack(stays)
+	stayIdx := index.NewPacked(opt.Index, pp, kernel.Radius())
 	arenas := opt.AcquireArenas(exec.Slots(opt.Workers, len(pois)))
 	err := exec.ParallelForSlots(ctx, opt.Workers, len(pois), func(slot, i int) error {
 		loc := pois[i].Location
-		buf := stayIdx.WithinAppend(loc, kernel.Radius(), arenas[slot].Ints[:0])
+		buf := stayIdx.WithinSortedAppend(loc, kernel.Radius(), arenas[slot].Ints[:0])
 		arenas[slot].Ints = buf
-		sort.Ints(buf)
-		var sum float64
-		for _, s := range buf {
-			sum += kernel.Weight(loc, stays[s])
-		}
-		pop[i] = sum
+		pop[i] = kernel.WeightSumInto(0, loc, pp, buf)
 		return nil
 	})
 	opt.ReleaseArenas(arenas)

@@ -1,8 +1,6 @@
 package csd
 
 import (
-	"sort"
-
 	"csdm/internal/exec"
 	"csdm/internal/geo"
 	"csdm/internal/index"
@@ -164,12 +162,11 @@ func (m *Maintainer) ApplyDelta(env stage.Env, batch []geo.Point) (*Diagram, Del
 		arenas := opt.AcquireArenas(exec.Slots(opt.Workers, len(m.pois)))
 		err := exec.ParallelForSlots(ctx, opt.Workers, len(m.pois), func(slot, i int) error {
 			loc := m.pois[i].Location
-			buf := batchIdx.WithinAppend(loc, m.kernel.Radius(), arenas[slot].Ints[:0])
+			buf := batchIdx.WithinSortedAppend(loc, m.kernel.Radius(), arenas[slot].Ints[:0])
 			arenas[slot].Ints = buf
 			if len(buf) == 0 {
 				return nil
 			}
-			sort.Ints(buf)
 			newPop[i] = m.kernel.WeightSumInto(newPop[i], loc, batchPP, buf)
 			touched[i] = true
 			return nil

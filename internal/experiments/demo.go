@@ -11,6 +11,7 @@ import (
 	"csdm/internal/pattern"
 	"csdm/internal/poi"
 	"csdm/internal/recognize"
+	"csdm/internal/stage"
 	"csdm/internal/synth"
 	"csdm/internal/trajectory"
 )
@@ -49,7 +50,9 @@ func (e *Env) Fig14(params pattern.Params) []Fig14BucketResult {
 			bucketParams.Sigma = 2
 		}
 		db := recognize.AnnotateJourneys(js, trajectory.DefaultChainParams(), rec)
-		ps := pattern.Compat{E: pattern.NewCounterpartCluster()}.Extract(db, bucketParams)
+		// A background environment is never canceled, and cancellation
+		// is the only way extraction fails.
+		ps, _ := pattern.NewCounterpartCluster().Extract(stage.Background(), db, bucketParams)
 		res := Fig14BucketResult{
 			Bucket:      b,
 			Journeys:    len(js),

@@ -86,14 +86,27 @@ func clampCoord(v, limit float64) float64 {
 // Haversine returns the great-circle distance between a and b in meters.
 // This is the d(p_i, p_j) of Table 2.
 func Haversine(a, b Point) float64 {
-	la1 := a.Lat * math.Pi / 180
-	la2 := b.Lat * math.Pi / 180
+	return HaversineCos(a, CosLat(a.Lat), b, CosLat(b.Lat))
+}
+
+// CosLat returns the cosine of a latitude given in degrees — the factor
+// Haversine needs per endpoint. Packed stores keep it as a column
+// (PackedPoints.Cos) so hot loops pay it once per point, not per pair.
+func CosLat(lat float64) float64 {
+	return math.Cos(lat * math.Pi / 180)
+}
+
+// HaversineCos is Haversine with both latitudes' cosines supplied by
+// the caller (cosA = CosLat(a.Lat), cosB = CosLat(b.Lat)). It is the one
+// copy of the formula: Haversine calls it, so a caller that passes the
+// same cosines gets the same bits on every architecture.
+func HaversineCos(a Point, cosA float64, b Point, cosB float64) float64 {
 	dLat := (b.Lat - a.Lat) * math.Pi / 180
 	dLon := (b.Lon - a.Lon) * math.Pi / 180
 
 	sinLat := math.Sin(dLat / 2)
 	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(la1)*math.Cos(la2)*sinLon*sinLon
+	h := sinLat*sinLat + cosA*cosB*sinLon*sinLon
 	if h > 1 {
 		h = 1
 	}

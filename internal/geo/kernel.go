@@ -41,22 +41,24 @@ func (k GaussianKernel) WeightDist(d float64) float64 {
 	return k.norm * math.Exp(-d*d*k.inv2s2)
 }
 
-// Weight evaluates the kernel between two WGS84 points.
-func (k GaussianKernel) Weight(a, b Point) float64 {
-	return k.WeightDist(Haversine(a, b))
-}
-
 // WeightSumInto folds the kernel weights between center and the
 // identified packed points into acc, one addition per id in the ids'
-// order, and returns the new accumulator. The incremental popularity
-// update is bit-identical to a full rebuild only because of this shape:
-// float addition is non-associative, so each new stay's weight must
-// join the POI's running sum exactly where a full rebuild's canonical
-// ascending-id loop would have added it — pre-summing the batch and
-// adding once would round differently.
+// order, and returns the new accumulator. It is the one kernel sum of
+// Equations (2)–(3): the full popularity build, the maintainer's delta
+// and the sharded tile loop all call it with ascending ids. The
+// incremental popularity update is bit-identical to a full rebuild only
+// because of this shape: float addition is non-associative, so each new
+// stay's weight must join the POI's running sum exactly where a full
+// rebuild's canonical ascending-id loop would have added it —
+// pre-summing the batch and adding once would round differently.
+//
+// The center's latitude cosine is taken once per call and each point's
+// comes from the store's Cos column, so a pair costs one HaversineCos
+// and one exp — the same bits as WeightDist(Haversine(center, point)).
 func (k GaussianKernel) WeightSumInto(acc float64, center Point, pp *PackedPoints, ids []int) float64 {
+	cosC := CosLat(center.Lat)
 	for _, id := range ids {
-		acc += k.WeightDist(Haversine(center, pp.At(id)))
+		acc += k.WeightDist(HaversineCos(center, cosC, pp.At(id), pp.Cos[id]))
 	}
 	return acc
 }

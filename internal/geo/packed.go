@@ -11,14 +11,18 @@ import "math"
 // keeping full float64 precision, so every distance (and therefore every
 // mined pattern) is bit-identical to the array-of-structs layout.
 //
-// A PackedPoints is mutable only through Pack and Project; after an
-// index is built over it the store must be treated as frozen (indexes
-// alias the slices rather than copying them). It must not be shared
-// between concurrent builders.
+// A PackedPoints is mutable only through Pack, Append, AppendPoint and
+// Project; after an index is built over it the store must be treated as
+// frozen (indexes alias the slices rather than copying them). It must
+// not be shared between concurrent builders.
 type PackedPoints struct {
 	// Lon[i]/Lat[i] are point i's WGS84 coordinates in degrees.
 	Lon []float64
 	Lat []float64
+	// Cos[i] is CosLat(Lat[i]), filled with every point that enters
+	// the store, so kernel sums read both endpoints' cosines instead of
+	// recomputing them per pair.
+	Cos []float64
 	// X[i]/Y[i] are point i's planar meters under Proj, valid only
 	// after Project; both are filled by Projection.ProjectAll and are
 	// bit-identical to per-point ToMeters results.
@@ -35,10 +39,12 @@ func Pack(pts []Point) *PackedPoints {
 	pp := &PackedPoints{
 		Lon: make([]float64, len(pts)),
 		Lat: make([]float64, len(pts)),
+		Cos: make([]float64, len(pts)),
 	}
 	for i, p := range pts {
 		pp.Lon[i] = p.Lon
 		pp.Lat[i] = p.Lat
+		pp.Cos[i] = CosLat(p.Lat)
 	}
 	return pp
 }
@@ -48,26 +54,30 @@ func (pp *PackedPoints) Len() int { return len(pp.Lon) }
 
 // Append grows the store with pts, assigning them the next ids in
 // order. If the store is already projected, the new tail is projected
-// under the existing projection (same origin — ProjectAll is
-// per-element, so the old points' planar bits are untouched and the
-// tail's bits equal a from-scratch projection of the grown set at the
-// same origin). Growth never disturbs an index built earlier over the
-// store: the index aliases slice headers whose length predates the
-// append, so it keeps answering over exactly the first Len-at-build
-// points. The incremental CSD maintainer leans on both properties —
+// under the existing projection (same origin — ToMeters evaluates
+// ProjectAll's per-element expression, so the old points' planar bits
+// are untouched and the tail's bits equal a from-scratch projection of
+// the grown set at the same origin). Growth never disturbs an index
+// built earlier over the store: the index aliases slice headers whose
+// length predates the append, so it keeps answering over exactly the
+// first Len-at-build points. The incremental CSD maintainer leans on both properties —
 // stay points only ever gain ids, never move or reorder.
 func (pp *PackedPoints) Append(pts []Point) {
 	for _, p := range pts {
-		pp.Lon = append(pp.Lon, p.Lon)
-		pp.Lat = append(pp.Lat, p.Lat)
+		pp.AppendPoint(p)
 	}
+}
+
+// AppendPoint is Append for a single point: it fills every column,
+// Cos and (on a projected store) X/Y included.
+func (pp *PackedPoints) AppendPoint(p Point) {
+	pp.Lon = append(pp.Lon, p.Lon)
+	pp.Lat = append(pp.Lat, p.Lat)
+	pp.Cos = append(pp.Cos, CosLat(p.Lat))
 	if pp.projected {
-		lo := len(pp.X)
-		for len(pp.X) < len(pp.Lon) {
-			pp.X = append(pp.X, 0)
-			pp.Y = append(pp.Y, 0)
-		}
-		pp.proj.ProjectAll(pp.X[lo:], pp.Y[lo:], pp.Lon[lo:], pp.Lat[lo:])
+		m := pp.proj.ToMeters(p)
+		pp.X = append(pp.X, m.X)
+		pp.Y = append(pp.Y, m.Y)
 	}
 }
 

@@ -199,12 +199,12 @@ func TestWeightSumInto(t *testing.T) {
 			t.Fatalf("cut %d: incremental sum %v != full %v", cut, sum, full)
 		}
 	}
-	// And it agrees with the Weight loop popularity() runs.
+	// And it agrees with a per-pair WeightDist(Haversine) loop.
 	var loop float64
 	for _, p := range pts {
-		loop += k.Weight(center, p)
+		loop += k.WeightDist(Haversine(center, p))
 	}
 	if math.Float64bits(loop) != math.Float64bits(full) {
-		t.Fatalf("WeightSumInto %v != Weight loop %v", full, loop)
+		t.Fatalf("WeightSumInto %v != per-pair loop %v", full, loop)
 	}
 }

@@ -34,6 +34,14 @@ type Index interface {
 	// capacity. Like append, the returned slice may share backing with
 	// buf or be a grown copy, so the caller must use the return value.
 	WithinAppend(center geo.Point, radius float64, buf []int) []int
+	// WithinSortedAppend is WithinAppend with the appended IDs in
+	// ascending order: its result equals WithinAppend followed by an
+	// ascending sort of the appended tail, and buf's existing elements
+	// are left untouched. It is the canonical summation order of the
+	// popularity kernel sums. The aliasing contract is WithinAppend's,
+	// except that the index may also use buf's spare capacity beyond
+	// the returned length as scratch.
+	WithinSortedAppend(center geo.Point, radius float64, buf []int) []int
 	// Nearest returns the IDs of the k points closest to q, ordered by
 	// increasing distance. Fewer than k IDs are returned when the index
 	// holds fewer points.

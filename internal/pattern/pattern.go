@@ -93,23 +93,6 @@ type Extractor interface {
 	Extract(env stage.Env, db []trajectory.SemanticTrajectory, params Params) ([]Pattern, error)
 }
 
-// Compat adapts an Extractor to the pre-engine call shape — no
-// environment, no error — for callers outside the pipeline (examples,
-// one-off experiments): mining runs on a background environment and a
-// cancellation error (the only kind extraction produces) yields nil.
-type Compat struct {
-	E Extractor
-}
-
-// Name identifies the wrapped extractor.
-func (c Compat) Name() string { return c.E.Name() }
-
-// Extract mines on a background environment, discarding the error.
-func (c Compat) Extract(db []trajectory.SemanticTrajectory, params Params) []Pattern {
-	out, _ := c.E.Extract(stage.Background(), db, params)
-	return out
-}
-
 // extractStages runs the shared coarse-detection → refinement →
 // closure skeleton with spans and counters keyed by the extractor
 // name. refine receives the trace (via env) so per-candidate counts

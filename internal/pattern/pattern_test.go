@@ -7,6 +7,7 @@ import (
 
 	"csdm/internal/geo"
 	"csdm/internal/poi"
+	"csdm/internal/stage"
 	"csdm/internal/trajectory"
 )
 
@@ -40,9 +41,19 @@ func flow(rng *rand.Rand, n int, a, b [2]float64, spread float64, gap time.Durat
 	return out
 }
 
-// extractors exercises every refiner through the Compat adapter — the
-// same legacy call shape external callers use.
-var extractors = []Compat{{NewCounterpartCluster()}, {NewSplitter()}, {NewSDBSCAN()}}
+// extractors exercises every refiner.
+var extractors = []Extractor{NewCounterpartCluster(), NewSplitter(), NewSDBSCAN()}
+
+// mine runs ex on a background environment, failing on an error (a
+// background environment is never canceled, so none is expected).
+func mine(tb testing.TB, ex Extractor, db []trajectory.SemanticTrajectory, params Params) []Pattern {
+	tb.Helper()
+	out, err := ex.Extract(stage.Background(), db, params)
+	if err != nil {
+		tb.Fatalf("%s: %v", ex.Name(), err)
+	}
+	return out
+}
 
 // testParams keeps the thresholds small for compact test databases.
 func testParams() Params {
@@ -57,7 +68,7 @@ func TestExtractorsFindTwoSpatialVariants(t *testing.T) {
 	db = append(db, flow(rng, 40, [2]float64{0, 3000}, [2]float64{4000, 3000}, 20, 30*time.Minute, [2]poi.Semantics{home, office})...)
 
 	for _, ex := range extractors {
-		got := ex.Extract(db, testParams())
+		got := mine(t, ex, db, testParams())
 		if len(got) != 2 {
 			t.Errorf("%s: patterns = %d, want 2", ex.Name(), len(got))
 			continue
@@ -88,7 +99,7 @@ func TestExtractorsRespectSupportThreshold(t *testing.T) {
 	db := flow(rng, 10, [2]float64{0, 0}, [2]float64{4000, 0}, 20, 30*time.Minute, [2]poi.Semantics{home, office})
 	params := testParams() // σ=20 > 10 supporters
 	for _, ex := range extractors {
-		if got := ex.Extract(db, params); len(got) != 0 {
+		if got := mine(t, ex, db, params); len(got) != 0 {
 			t.Errorf("%s: %d patterns from sub-σ flow, want 0", ex.Name(), len(got))
 		}
 	}
@@ -99,7 +110,7 @@ func TestExtractorsRespectDeltaT(t *testing.T) {
 	// Gap of 3 h violates δ_t = 1 h.
 	db := flow(rng, 40, [2]float64{0, 0}, [2]float64{4000, 0}, 20, 3*time.Hour, [2]poi.Semantics{home, office})
 	for _, ex := range extractors {
-		if got := ex.Extract(db, testParams()); len(got) != 0 {
+		if got := mine(t, ex, db, testParams()); len(got) != 0 {
 			t.Errorf("%s: %d patterns despite δ_t violation, want 0", ex.Name(), len(got))
 		}
 	}
@@ -113,7 +124,7 @@ func TestExtractorsRespectDensity(t *testing.T) {
 	params := testParams()
 	params.Rho = 0.002
 	for _, ex := range extractors {
-		for _, p := range ex.Extract(db, params) {
+		for _, p := range mine(t, ex, db, params) {
 			for k, g := range p.Groups {
 				if d := geo.Density(groupPoints(g)); d < params.Rho {
 					t.Errorf("%s: group %d density %.5f < ρ", ex.Name(), k, d)
@@ -128,7 +139,7 @@ func TestExtractorsIgnoreUnannotatedStays(t *testing.T) {
 	db := flow(rng, 40, [2]float64{0, 0}, [2]float64{4000, 0}, 20, 30*time.Minute,
 		[2]poi.Semantics{0, 0}) // recognition failed everywhere
 	for _, ex := range extractors {
-		if got := ex.Extract(db, testParams()); len(got) != 0 {
+		if got := mine(t, ex, db, testParams()); len(got) != 0 {
 			t.Errorf("%s: patterns from unannotated stays", ex.Name())
 		}
 	}
@@ -149,7 +160,7 @@ func TestExtractThreeStopPattern(t *testing.T) {
 		})
 	}
 	for _, ex := range extractors {
-		got := ex.Extract(db, testParams())
+		got := mine(t, ex, db, testParams())
 		found := false
 		for _, p := range got {
 			if p.Len() == 3 && p.Items[0] == office && p.Items[1] == shop && p.Items[2] == home {
@@ -169,7 +180,7 @@ func TestPatternGroupsAlignWithSupport(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := flow(rng, 50, [2]float64{0, 0}, [2]float64{4000, 0}, 20, 30*time.Minute, [2]poi.Semantics{home, office})
 	for _, ex := range extractors {
-		for _, p := range ex.Extract(db, testParams()) {
+		for _, p := range mine(t, ex, db, testParams()) {
 			for k, g := range p.Groups {
 				// Definition 10: one counterpart stay per supporter,
 				// plus the representative itself when it is not
@@ -198,7 +209,7 @@ func TestPatternGroupsAlignWithSupport(t *testing.T) {
 func TestCounterpartClusterConsumesTrajectoriesOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	db := flow(rng, 60, [2]float64{0, 0}, [2]float64{4000, 0}, 20, 30*time.Minute, [2]poi.Semantics{home, office})
-	got := Compat{NewCounterpartCluster()}.Extract(db, testParams())
+	got := mine(t, NewCounterpartCluster(), db, testParams())
 	total := 0
 	for _, p := range got {
 		total += p.Support
@@ -210,7 +221,7 @@ func TestCounterpartClusterConsumesTrajectoriesOnce(t *testing.T) {
 
 func TestExtractEmptyDatabase(t *testing.T) {
 	for _, ex := range extractors {
-		if got := ex.Extract(nil, testParams()); len(got) != 0 {
+		if got := mine(t, ex, nil, testParams()); len(got) != 0 {
 			t.Errorf("%s: patterns from empty db", ex.Name())
 		}
 	}
@@ -255,6 +266,6 @@ func BenchmarkCounterpartCluster(b *testing.B) {
 	params := testParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compat{NewCounterpartCluster()}.Extract(db, params)
+		mine(b, NewCounterpartCluster(), db, params)
 	}
 }

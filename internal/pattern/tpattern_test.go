@@ -24,7 +24,7 @@ func TestTPatternFindsSpatialFlows(t *testing.T) {
 	// family — so the density threshold is set below the per-cell
 	// worst case.
 	ex.MinCellVisits = 8
-	got := Compat{ex}.Extract(db, testParams())
+	got := mine(t, ex, db, testParams())
 	if len(got) != 2 {
 		t.Fatalf("patterns = %d, want 2 (semantic-free mining)", len(got))
 	}
@@ -49,26 +49,26 @@ func TestTPatternRespectsThresholds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	db := flow(rng, 10, [2]float64{0, 0}, [2]float64{4000, 0}, 20, 30*time.Minute,
 		[2]poi.Semantics{0, 0})
-	if got := (Compat{NewTPattern()}).Extract(db, testParams()); len(got) != 0 {
+	if got := mine(t, NewTPattern(), db, testParams()); len(got) != 0 {
 		t.Fatalf("sub-σ flow produced %d patterns", len(got))
 	}
 	// δ_t violation.
 	slow := flow(rng, 40, [2]float64{0, 0}, [2]float64{4000, 0}, 20, 3*time.Hour,
 		[2]poi.Semantics{0, 0})
-	if got := (Compat{NewTPattern()}).Extract(slow, testParams()); len(got) != 0 {
+	if got := mine(t, NewTPattern(), slow, testParams()); len(got) != 0 {
 		t.Fatalf("δ_t-violating flow produced %d patterns", len(got))
 	}
 }
 
 func TestTPatternEmptyAndDefaults(t *testing.T) {
-	if got := (Compat{NewTPattern()}).Extract(nil, testParams()); got != nil {
+	if got := mine(t, NewTPattern(), nil, testParams()); got != nil {
 		t.Fatal("empty db should produce nil")
 	}
 	rng := rand.New(rand.NewSource(3))
 	db := flow(rng, 40, [2]float64{0, 0}, [2]float64{4000, 0}, 20, 30*time.Minute,
 		[2]poi.Semantics{0, 0})
 	zero := &TPattern{} // zero config falls back to defaults
-	if got := (Compat{zero}).Extract(db, testParams()); len(got) == 0 {
+	if got := mine(t, zero, db, testParams()); len(got) == 0 {
 		t.Fatal("zero-config TPattern found nothing")
 	}
 }
@@ -85,7 +85,7 @@ func TestTPatternMergesAdjacentDenseCells(t *testing.T) {
 	params.Rho = 0 // wide endpoints: density check would reject otherwise
 	ex := NewTPattern()
 	ex.MinCellVisits = 6 // the scatter thins each 150 m cell to ~12 visits
-	got := Compat{ex}.Extract(db, params)
+	got := mine(t, ex, db, params)
 	if len(got) == 0 {
 		t.Fatal("adjacent dense cells did not merge into one ROI")
 	}

@@ -38,18 +38,24 @@ func (r *CSDRecognizer) Recognize(p geo.Point) poi.Semantics {
 // handful of units at most, so the scan beats a map and allocates
 // nothing. The winner rule (highest vote, lowest unit ID on ties)
 // matches the map formulation exactly: vote sums accumulate in range
-// order either way.
+// order either way. The range order is the index's, not ascending: the
+// per-unit float sums depend on it. Each kernel weight reads the
+// member's latitude cosine from the diagram's packed member column and
+// the stay's once per call.
 func (r *CSDRecognizer) RecognizeBuf(p geo.Point, sc *Scratch) poi.Semantics {
 	d := r.diagram
 	kernel := d.Kernel()
-	sc.ids = d.MembersWithinAppend(p, kernel.Radius(), sc.ids[:0])
+	sc.ids = d.MemberSlotsWithinAppend(p, kernel.Radius(), sc.ids[:0])
 	if len(sc.ids) == 0 {
 		return 0
 	}
+	mp := d.MemberPoints()
+	cosP := geo.CosLat(p.Lat)
 	uids, votes, tags := sc.uids[:0], sc.votes[:0], sc.tags[:0]
-	for _, i := range sc.ids {
+	for _, m := range sc.ids {
+		i := d.Member(m)
 		uid := d.UnitOf(i)
-		w := d.Pop[i] * kernel.Weight(d.POIs[i].Location, p)
+		w := d.Pop[i] * kernel.WeightDist(geo.HaversineCos(mp.At(m), mp.Cos[m], p, cosP))
 		sem := d.POIs[i].Semantics()
 		k := 0
 		for ; k < len(uids); k++ {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"csdm/internal/ckpt"
@@ -158,8 +157,7 @@ func Build(env stage.Env, pois []poi.POI, src StaySource, cfg Config) (*csd.Diag
 				// classifies membership by exact Haversine — so this
 				// sum is the monolithic popularity loop's
 				// float-addition chain, term for term.
-				buf = idx.WithinAppend(loc, kernel.Radius(), buf[:0])
-				sort.Ints(buf)
+				buf = idx.WithinSortedAppend(loc, kernel.Radius(), buf[:0])
 				sp.Pop[k] = kernel.WeightSumInto(0, loc, pp, buf)
 			}
 			return sp, nil

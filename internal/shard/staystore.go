@@ -39,8 +39,7 @@ func (m MemStays) LoadRect(r geo.Rect) ([]int, *geo.PackedPoints, error) {
 	for i, p := range m {
 		if r.Contains(p) {
 			ids = append(ids, i)
-			pp.Lon = append(pp.Lon, p.Lon)
-			pp.Lat = append(pp.Lat, p.Lat)
+			pp.AppendPoint(p)
 		}
 	}
 	return ids, pp, nil
@@ -298,8 +297,7 @@ func (s *StayStore) LoadRect(r geo.Rect) ([]int, *geo.PackedPoints, error) {
 			}
 			if r.Contains(p) {
 				ids = append(ids, c.start+i)
-				pp.Lon = append(pp.Lon, p.Lon)
-				pp.Lat = append(pp.Lat, p.Lat)
+				pp.AppendPoint(p)
 			}
 		}
 	}
