@@ -30,14 +30,18 @@ const (
 	// workers 1 for CSD-PM extraction when four cores exist.
 	minParallelEfficiency = 2.0
 	// mineAllocsBaseline is the workers-1 allocs/op of CSD-PM
-	// extraction on the bench city as recorded by the mining baseline
-	// committed with the packed-point store and parallel mining, and
-	// held since by the CI gate it fed. Allocation counts are
-	// deterministic for a pinned worker budget, so unlike that
-	// baseline's ns/op the number holds on any machine.
-	mineAllocsBaseline = 1_290_902
+	// extraction on the bench city, measured once density clustering
+	// queried each neighborhood on visit and the closure matched into
+	// scratch (it was 1 290 902 before). Allocation counts are
+	// deterministic for a pinned worker budget, so unlike ns/op the
+	// number holds on any machine.
+	mineAllocsBaseline = 108_794
+	// mineBytesBaseline is the workers-1 bytes/op of the same
+	// extraction, measured alongside mineAllocsBaseline (~492 MB
+	// before).
+	mineBytesBaseline = 68_144_304
 	// mineAllocTolerance is the relative growth allowed over
-	// mineAllocsBaseline.
+	// mineAllocsBaseline and mineBytesBaseline.
 	mineAllocTolerance = 0.10
 )
 
@@ -109,5 +113,20 @@ func TestMineAllocCeiling(t *testing.T) {
 	t.Logf("workers 1: %d allocs/op (ceiling %.0f)", r.AllocsPerOp(), ceiling)
 	if float64(r.AllocsPerOp()) > ceiling {
 		t.Fatalf("%d allocs/op > ceiling %.0f", r.AllocsPerOp(), ceiling)
+	}
+}
+
+// TestMineBytesCeiling holds workers-1 extraction to the committed
+// bytes/op plus mineAllocTolerance: density clustering and the closure
+// allocate in proportion to one neighborhood, not to all of them.
+func TestMineBytesCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation ceiling skipped in -short")
+	}
+	r := testing.Benchmark(mineBench(1))
+	const ceiling = mineBytesBaseline * (1 + mineAllocTolerance)
+	t.Logf("workers 1: %d B/op (ceiling %.0f)", r.AllocedBytesPerOp(), ceiling)
+	if float64(r.AllocedBytesPerOp()) > ceiling {
+		t.Fatalf("%d B/op > ceiling %.0f", r.AllocedBytesPerOp(), ceiling)
 	}
 }

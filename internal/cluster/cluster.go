@@ -10,8 +10,6 @@
 package cluster
 
 import (
-	"context"
-
 	"csdm/internal/exec"
 	"csdm/internal/geo"
 	"csdm/internal/index"
@@ -58,10 +56,10 @@ func DBSCAN(pts []geo.Point, eps float64, minPts int) Result {
 }
 
 // DBSCANWith is DBSCAN with execution-layer options: the spatial index
-// backend comes from opt.Index, and every point's eps-neighborhood —
-// the dominant cost — is precomputed on opt's worker pool before the
-// sequential cluster-growth phase consumes the neighborhoods in the
-// usual order. The labeling is identical for any worker budget.
+// backend comes from opt.Index. Each point's eps-neighborhood is
+// queried once, when cluster growth visits it, into one reused buffer,
+// so the working set is one neighborhood plus a queue of at most one
+// entry per point. The labeling does not depend on opt.Workers.
 func DBSCANWith(pts []geo.Point, eps float64, minPts int, opt exec.Options) Result {
 	labels := make([]int, len(pts))
 	for i := range labels {
@@ -71,33 +69,32 @@ func DBSCANWith(pts []geo.Point, eps float64, minPts int, opt exec.Options) Resu
 		return Result{Labels: labels}
 	}
 	idx := index.New(opt.Index, pts, eps)
-	neighbors := neighborhoods(idx, pts, eps, opt.Workers)
 
 	visited := make([]bool, len(pts))
+	var nbrs, queue []int
 	next := 0
 	for i := range pts {
 		if visited[i] {
 			continue
 		}
 		visited[i] = true
-		if len(neighbors[i]) < minPts {
+		if nbrs = idx.WithinAppend(pts[i], eps, nbrs[:0]); len(nbrs) < minPts {
 			continue
 		}
 		labels[i] = next
-		// Expand the cluster with a seed queue.
-		queue := append([]int(nil), neighbors[i]...)
+		// Expand the cluster with a seed queue. A neighbor is claimed
+		// when it is queued; one already claimed needs no second entry,
+		// because claiming is permanent and its first entry is popped
+		// first. A visited noise point is claimed as a border point.
+		queue = enqueue(queue[:0], nbrs, labels, next)
 		for qi := 0; qi < len(queue); qi++ {
 			j := queue[qi]
-			if labels[j] == Noise {
-				labels[j] = next // border point
-			}
 			if visited[j] {
 				continue
 			}
 			visited[j] = true
-			labels[j] = next
-			if jn := neighbors[j]; len(jn) >= minPts {
-				queue = append(queue, jn...)
+			if nbrs = idx.WithinAppend(pts[j], eps, nbrs[:0]); len(nbrs) >= minPts {
+				queue = enqueue(queue, nbrs, labels, next)
 			}
 		}
 		next++
@@ -105,28 +102,14 @@ func DBSCANWith(pts []geo.Point, eps float64, minPts int, opt exec.Options) Resu
 	return Result{Labels: labels, NumClusters: next}
 }
 
-// neighborhoods answers every point's eps range query up front on the
-// worker pool. The density-based algorithms query each point's
-// neighborhood exactly once, so precomputation does no extra work over
-// the lazy form — it only reorders it into an embarrassingly parallel
-// phase; slot i always holds point i's result, keeping downstream
-// iteration order worker-count independent.
-//
-// Each worker appends its results into one per-slot arena and hands out
-// full-capacity subslices, so a point's neighborhood costs zero
-// allocations beyond the arena's amortized growth (a grown arena leaves
-// earlier subslices valid on the old backing array, and the capacity
-// cap keeps them immune to later appends).
-func neighborhoods(idx index.Index, pts []geo.Point, eps float64, workers int) [][]int {
-	out := make([][]int, len(pts))
-	arenas := make([][]int, exec.Slots(workers, len(pts)))
-	_ = exec.ParallelForSlots(context.Background(), workers, len(pts), func(slot, i int) error {
-		a := arenas[slot]
-		start := len(a)
-		a = idx.WithinAppend(pts[i], eps, a)
-		arenas[slot] = a
-		out[i] = a[start:len(a):len(a)]
-		return nil
-	})
-	return out
+// enqueue labels every still-unclaimed point of nbrs with cluster c and
+// appends it to queue, in neighbor order.
+func enqueue(queue, nbrs, labels []int, c int) []int {
+	for _, j := range nbrs {
+		if labels[j] == Noise {
+			labels[j] = c
+			queue = append(queue, j)
+		}
+	}
+	return queue
 }

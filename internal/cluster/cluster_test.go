@@ -476,11 +476,10 @@ func TestExtractLeavesLabelsAreConsistent(t *testing.T) {
 	}
 }
 
-// TestOpticsParallelDeterminism pins the tentpole invariant of the
-// parallel core-distance precompute: the OPTICS ordering, reachability
-// plot and core distances must be bit-identical for any worker budget
-// (and with or without an arena pool attached), because the mined
-// pattern set downstream is gated on exact equality.
+// TestOpticsParallelDeterminism pins the OPTICS ordering, reachability
+// plot and core distances as bit-identical for any worker budget (and
+// with or without an arena pool attached), because the mined pattern
+// set downstream is gated on exact equality.
 func TestOpticsParallelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts := threeBlobs(rng)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"math"
 	"sort"
 
@@ -36,10 +35,11 @@ func Optics(pts []geo.Point, maxEps float64, minPts int) *OpticsResult {
 	return OpticsWith(pts, maxEps, minPts, exec.Options{})
 }
 
-// OpticsWith is Optics with execution-layer options: neighborhoods are
-// precomputed on opt's worker pool over an opt.Index backend, then the
-// sequential ordering phase walks them. The ordering and reachability
-// plot are identical for any worker budget.
+// OpticsWith is Optics with execution-layer options: the spatial index
+// backend comes from opt.Index. Each point's neighborhood is queried
+// once, when the walk processes it, into one reused buffer, so the
+// working set is one neighborhood rather than all of them. The
+// ordering and reachability plot do not depend on opt.Workers.
 func OpticsWith(pts []geo.Point, maxEps float64, minPts int, opt exec.Options) *OpticsResult {
 	n := len(pts)
 	res := &OpticsResult{
@@ -66,81 +66,70 @@ func OpticsWith(pts []geo.Point, maxEps float64, minPts int, opt exec.Options) *
 	// the innermost loops.
 	pp := geo.Pack(pts)
 	idx := index.NewPacked(opt.Index, pp, maxEps)
-	nbrs := neighborhoods(idx, pts, maxEps, opt.Workers)
-	processed := make([]bool, n)
 	pp.EnsureProjected()
-	px, py := pp.X, pp.Y
-	res.px, res.py = px, py
-
-	// Core distances depend only on a point's own neighborhood and the
-	// fixed planar coordinates, so they can all be computed up front on
-	// the worker pool instead of lazily inside the (inherently
-	// sequential) ordering walk — the values are identical either way,
-	// and with them precomputed the walk is pure queue work. Each slot
-	// borrows a float64 arena for its squared-distance scratch; the
-	// quickselect reorders scratch only, so task output never depends on
-	// contents left by a previous task.
-	slots := exec.Slots(opt.Workers, n)
-	arenas := opt.AcquireArenas(slots)
-	_ = exec.ParallelForSlots(context.Background(), opt.Workers, n, func(slot, i int) error {
-		neighbors := nbrs[i]
-		if len(neighbors) < minPts {
-			return nil // stays +Inf
-		}
-		ds := arenas[slot].F64[:0]
-		for _, j := range neighbors {
-			dx := px[i] - px[j]
-			dy := py[i] - py[j]
-			ds = append(ds, dx*dx+dy*dy)
-		}
-		arenas[slot].F64 = ds
-		res.CoreDist[i] = math.Sqrt(quickselect(ds, minPts-1))
-		return nil
-	})
-	opt.ReleaseArenas(arenas)
+	res.px, res.py = pp.X, pp.Y
+	w := &opticsWalk{res: res, idx: idx, processed: make([]bool, n), seeds: newSeedQueue(n)}
 
 	// One queue serves every component: it always drains empty before the
 	// next start point, and Pop resets the popped id's position slot, so
 	// the queue is back to its pristine state without reallocation.
-	seeds := newSeedQueue(n)
 	for start := 0; start < n; start++ {
-		if processed[start] {
+		if w.processed[start] {
 			continue
 		}
-		processed[start] = true
-		res.Order = append(res.Order, start)
-		if math.IsInf(res.CoreDist[start], 1) {
-			continue
-		}
-		update(res, nbrs[start], start, seeds, processed)
-		for seeds.Len() > 0 {
-			cur := seeds.pop().id
-			if processed[cur] {
-				continue
-			}
-			processed[cur] = true
-			res.Order = append(res.Order, cur)
-			if !math.IsInf(res.CoreDist[cur], 1) {
-				update(res, nbrs[cur], cur, seeds, processed)
+		w.visit(start)
+		for w.seeds.Len() > 0 {
+			if cur := w.seeds.pop().id; !w.processed[cur] {
+				w.visit(cur)
 			}
 		}
 	}
 	return res
 }
 
-// update refreshes the reachability of center's unprocessed neighbors.
-func update(res *OpticsResult, neighbors []int, center int, seeds *seedQueue, processed []bool) {
-	cd := res.CoreDist[center]
-	for _, j := range neighbors {
-		if processed[j] {
+// opticsWalk is the state of the sequential OPTICS walk. Its three
+// buffers hold one neighborhood at a time and are reused across visits.
+type opticsWalk struct {
+	res       *OpticsResult
+	idx       index.Index
+	processed []bool
+	seeds     *seedQueue
+	nbrs      []int     // the visited point's neighbor ids, in query order
+	d2        []float64 // squared planar distance to each of nbrs
+	sel       []float64 // quickselect scratch over a copy of d2
+}
+
+// visit processes point i: it appends i to the ordering, queries its
+// neighborhood, sets its core distance (the minPts-th smallest
+// distance, itself included) and, when i is a core point, relaxes the
+// reachability of its unprocessed neighbors in neighbor order.
+func (w *opticsWalk) visit(i int) {
+	res := w.res
+	w.processed[i] = true
+	res.Order = append(res.Order, i)
+	w.nbrs = w.idx.WithinAppend(res.pts[i], res.maxEps, w.nbrs[:0])
+	if len(w.nbrs) < res.minPts {
+		return // not a core point: CoreDist stays +Inf
+	}
+	w.d2 = w.d2[:0]
+	for _, j := range w.nbrs {
+		dx := res.px[i] - res.px[j]
+		dy := res.py[i] - res.py[j]
+		w.d2 = append(w.d2, dx*dx+dy*dy)
+	}
+	// The k-th smallest value does not depend on the order quickselect
+	// leaves behind, but the relaxation below needs d2 in neighbor order.
+	w.sel = append(w.sel[:0], w.d2...)
+	cd := math.Sqrt(quickselect(w.sel, res.minPts-1))
+	res.CoreDist[i] = cd
+	for k, j := range w.nbrs {
+		if w.processed[j] {
 			continue
 		}
-		dx := res.px[center] - res.px[j]
-		dy := res.py[center] - res.py[j]
-		newReach := math.Max(cd, math.Sqrt(dx*dx+dy*dy))
+		newReach := math.Max(cd, math.Sqrt(w.d2[k]))
 		if newReach < res.Reach[j] {
 			res.Reach[j] = newReach
-			seeds.upsert(j, newReach)
+			w.seeds.upsert(j, newReach)
 		}
 	}
 }

@@ -3,9 +3,9 @@ package exec
 import "sync"
 
 // Arena is per-slot scratch memory a stage borrows for the duration of
-// one parallel region: reusable int and float64 buffers that grow to
-// the stage's working-set size once and are then recycled across stage
-// invocations instead of reallocated.
+// one parallel region: a reusable int buffer that grows to the stage's
+// working-set size once and is then recycled across stage invocations
+// instead of reallocated.
 //
 // Ownership contract: an arena checked out through ArenaPool.Acquire is
 // slot-scoped — exactly one worker slot reads and writes it until the
@@ -13,15 +13,11 @@ import "sync"
 // parallel region. Buffers are cleared by reslicing (a[:0]), never
 // reallocated unless they must grow, and an arena's contents must never
 // be retained past Release: results that outlive the region must be
-// copied out (or not use the arena at all — neighborhood lists, for
-// example, alias their backing array by design and therefore own it).
+// copied out.
 type Arena struct {
 	// Ints is the reusable []int scratch (e.g. WithinAppend candidate
 	// buffers). Use a.Ints[:0] and store the grown slice back.
 	Ints []int
-	// F64 is the reusable []float64 scratch (e.g. squared-distance
-	// buffers for quickselect). Use a.F64[:0] and store back.
-	F64 []float64
 }
 
 // ArenaPool recycles slot-scoped arenas across stage invocations. A

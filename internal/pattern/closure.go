@@ -72,6 +72,7 @@ func newClosureComputer(db []trajectory.SemanticTrajectory, params Params, kind 
 // worker-count determinism.
 type closureScratch struct {
 	ids      []int // range-query buffer
+	match    []int // Match buffer: counterpart indices of one candidate
 	cand     []int // candidate trajectory list, valid until the next candidates call
 	near     marks // candidates: near the first endpoint, or already emitted
 	found    marks // supportGroups: trajectories in the closure so far
@@ -174,21 +175,25 @@ func (cc *closureComputer) supportGroups(rep []trajectory.StayPoint, sc *closure
 	frontier := append(sc.frontier[:0], query)
 	next := sc.next[:0]
 
+	if cap(sc.match) < m {
+		sc.match = make([]int, m)
+	}
+	match := sc.match[:m]
+
 	for len(frontier) > 0 {
 		next = next[:0]
 		for _, target := range frontier {
+			if !cc.params.Admits(target) {
+				continue
+			}
 			for _, ti := range cc.candidates(target, sc) {
-				if found[ti] == inClosure {
-					continue
-				}
-				idxs, ok := trajectory.Contains(cc.db[ti], target, cc.params)
-				if !ok {
+				if found[ti] == inClosure || !cc.params.Match(cc.db[ti], target, match) {
 					continue
 				}
 				found[ti] = inClosure
 				support++
-				cp := make([]trajectory.StayPoint, len(idxs))
-				for j, k := range idxs {
+				cp := make([]trajectory.StayPoint, m)
+				for j, k := range match {
 					cp[j] = cc.db[ti].Stays[k]
 					groups[j] = append(groups[j], cp[j])
 				}

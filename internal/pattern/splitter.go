@@ -70,7 +70,7 @@ func refineByModes(pa coarsePattern, params Params, clusterFn func([]geo.Point) 
 				ok = false
 				break
 			}
-			key = append(key, byte(l), byte(l>>8), ',')
+			key = appendLabel(key, l)
 		}
 		if !ok || !respectsDeltaT(pa.stays[i], params.DeltaT) {
 			continue
@@ -115,4 +115,21 @@ func refineByModes(pa coarsePattern, params Params, clusterFn func([]geo.Point) 
 	tr.Add(pfx+".candidates", int64(len(keys)))
 	tr.Add(pfx+".pruned", pruned)
 	return out
+}
+
+// appendLabel appends the group-key token of a non-negative label: its
+// 16-bit digits, least significant first, each as two little-endian
+// bytes followed by '+' when more digits follow or ',' after the last.
+// Every third byte says whether the token goes on, so a key decodes
+// uniquely and distinct label tuples get distinct keys. A label below
+// 65536 keeps its historical three bytes, so keys whose labels all fit
+// in 16 bits, and hence their sort order, are unchanged.
+func appendLabel(key []byte, l int) []byte {
+	for {
+		key = append(key, byte(l), byte(l>>8))
+		if l >>= 16; l == 0 {
+			return append(key, ',')
+		}
+		key = append(key, '+')
+	}
 }

@@ -62,8 +62,8 @@ func NewROIRecognizer(stays []geo.Point, pois []poi.POI, params ROIParams) *ROIR
 }
 
 // NewROIRecognizerEnv is NewROIRecognizer under a stage environment:
-// hot-region DBSCAN runs on env's worker pool and the lookup
-// structures use the env.Opt.Index backend.
+// hot-region DBSCAN and the lookup structures use the env.Opt.Index
+// backend.
 func NewROIRecognizerEnv(env stage.Env, stays []geo.Point, pois []poi.POI, params ROIParams) *ROIRecognizer {
 	opt := env.Opt
 	res := cluster.DBSCANWith(stays, params.Eps, params.MinPts, opt)

@@ -21,23 +21,44 @@ type ContainParams struct {
 // ST” (one index per stay of st', in order). Conditions: (i) matched
 // stays are within ε_t, (ii) consecutive gaps in both the counterpart
 // and st' are at most δ_t, (iii) each matched stay's semantics is a
-// superset of the corresponding stay of st'.
+// superset of the corresponding stay of st'. It is p.Admits(stp) and
+// p.Match into a fresh slice.
 func Contains(st, stp SemanticTrajectory, p ContainParams) ([]int, bool) {
-	m, n := len(st.Stays), len(stp.Stays)
-	if n == 0 || m < n {
+	if !p.Admits(stp) {
 		return nil, false
 	}
-	// Condition (ii) on st' itself.
-	for j := 0; j+1 < n; j++ {
-		if absDur(stp.Stays[j+1].T.Sub(stp.Stays[j].T)) > p.MaxGap {
-			return nil, false
-		}
-	}
-	match := make([]int, n)
-	if matchFrom(st, stp, p, 0, 0, match) {
+	match := make([]int, len(stp.Stays))
+	if p.Match(st, stp, match) {
 		return match, true
 	}
 	return nil, false
+}
+
+// Admits reports condition (ii) of Definition 7 on st' alone: every gap
+// between consecutive stays of stp is at most δ_t. A trajectory that
+// fails it is contained in no trajectory, so a caller matching one stp
+// against many trajectories checks it once.
+func (p ContainParams) Admits(stp SemanticTrajectory) bool {
+	for j := 0; j+1 < len(stp.Stays); j++ {
+		if absDur(stp.Stays[j+1].T.Sub(stp.Stays[j].T)) > p.MaxGap {
+			return false
+		}
+	}
+	return true
+}
+
+// Match searches st for a counterpart of stp under conditions (i),
+// (iii) and the counterpart half of (ii) of Definition 7, writing the
+// matched indices into st.Stays to match[:len(stp.Stays)]. It does not
+// check Admits and does not allocate. match must hold at least
+// len(stp.Stays) entries; its prior contents are ignored, and after a
+// failed match they are unspecified.
+func (p ContainParams) Match(st, stp SemanticTrajectory, match []int) bool {
+	m, n := len(st.Stays), len(stp.Stays)
+	if n == 0 || m < n {
+		return false
+	}
+	return matchFrom(st, stp, p, 0, 0, match[:n])
 }
 
 // matchFrom searches for a counterpart of stp.Stays[j:] within
