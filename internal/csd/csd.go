@@ -101,8 +101,9 @@ type Diagram struct {
 	// Generation is the diagram's lineage number under incremental
 	// maintenance: 0 for a one-shot Build, 1 for a Maintainer's initial
 	// construction, +1 per applied delta batch. It is carried in the
-	// framed snapshot header (framing v2), not the JSON payload, so two
-	// generations with identical content have byte-identical payloads.
+	// framed snapshot header (since framing v2), not the payload, so
+	// two generations with identical content have byte-identical
+	// payloads.
 	Generation int64
 	// ParentGeneration is the generation this diagram was derived from
 	// (0 when it has no parent).
