@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -449,6 +450,62 @@ func TestQuickselectDuplicates(t *testing.T) {
 		if got := quickselect(append([]float64(nil), vals...), k); got != 5 {
 			t.Fatalf("quickselect dup k=%d = %v", k, got)
 		}
+	}
+}
+
+// TestKeepSmallestMatchesSort offers every value to keepSmallest and
+// checks that the heap root is the k-th smallest by sort, bit for bit,
+// and agrees with quickselect: random values with and without
+// duplicates, all-equal values, k=1 and k=len.
+func TestKeepSmallestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	var h []float64
+	check := func(vals []float64, k int) {
+		t.Helper()
+		h = h[:0]
+		for _, v := range vals {
+			h = keepSmallest(h, v, k)
+		}
+		if len(h) != k {
+			t.Fatalf("heap of %d values at k=%d holds %d", len(vals), k, len(h))
+		}
+		sorted := append([]float64(nil), vals...)
+		sort.Float64s(sorted)
+		want := sorted[k-1]
+		if math.Float64bits(h[0]) != math.Float64bits(want) {
+			t.Fatalf("keepSmallest(%v, k=%d) = %v, sort says %v", vals, k, h[0], want)
+		}
+		if q := quickselect(append([]float64(nil), vals...), k-1); q != h[0] {
+			t.Fatalf("keepSmallest(%v, k=%d) = %v, quickselect says %v", vals, k, h[0], q)
+		}
+	}
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(60)
+		vals := make([]float64, n)
+		for i := range vals {
+			switch trial % 3 {
+			case 0:
+				vals[i] = rng.Float64() * 1e4
+			case 1:
+				vals[i] = float64(rng.Intn(5)) // heavy duplicates
+			default:
+				vals[i] = 7.25 // all equal
+			}
+		}
+		check(vals, 1)
+		check(vals, n)
+		check(vals, 1+rng.Intn(n))
+	}
+	// Values arriving in ascending and descending order.
+	asc := make([]float64, 40)
+	for i := range asc {
+		asc[i] = float64(i) * 0.5
+	}
+	desc := append([]float64(nil), asc...)
+	slices.Reverse(desc)
+	for k := 1; k <= len(asc); k++ {
+		check(asc, k)
+		check(desc, k)
 	}
 }
 

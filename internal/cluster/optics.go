@@ -68,7 +68,10 @@ func OpticsWith(pts []geo.Point, maxEps float64, minPts int, opt exec.Options) *
 	idx := index.NewPacked(opt.Index, pp, maxEps)
 	pp.EnsureProjected()
 	res.px, res.py = pp.X, pp.Y
-	w := &opticsWalk{res: res, idx: idx, processed: make([]bool, n), seeds: newSeedQueue(n)}
+	w := &opticsWalk{
+		res: res, idx: idx, processed: make([]bool, n), seeds: newSeedQueue(n),
+		sel: make([]float64, 0, min(minPts, n)),
+	}
 
 	// One queue serves every component: it always drains empty before the
 	// next start point, and Pop resets the popped id's position slot, so
@@ -96,7 +99,7 @@ type opticsWalk struct {
 	seeds     *seedQueue
 	nbrs      []int     // the visited point's neighbor ids, in query order
 	d2        []float64 // squared planar distance to each of nbrs
-	sel       []float64 // quickselect scratch over a copy of d2
+	sel       []float64 // max-heap of the minPts smallest values of d2
 }
 
 // visit processes point i: it appends i to the ordering, queries its
@@ -112,15 +115,17 @@ func (w *opticsWalk) visit(i int) {
 		return // not a core point: CoreDist stays +Inf
 	}
 	w.d2 = w.d2[:0]
+	w.sel = w.sel[:0]
 	for _, j := range w.nbrs {
 		dx := res.px[i] - res.px[j]
 		dy := res.py[i] - res.py[j]
-		w.d2 = append(w.d2, dx*dx+dy*dy)
+		d := dx*dx + dy*dy
+		w.d2 = append(w.d2, d)
+		w.sel = keepSmallest(w.sel, d, res.minPts)
 	}
-	// The k-th smallest value does not depend on the order quickselect
-	// leaves behind, but the relaxation below needs d2 in neighbor order.
-	w.sel = append(w.sel[:0], w.d2...)
-	cd := math.Sqrt(quickselect(w.sel, res.minPts-1))
+	// The heap holds the minPts smallest d² values, so its root is the
+	// minPts-th smallest: a selection, with no arithmetic on the values.
+	cd := math.Sqrt(w.sel[0])
 	res.CoreDist[i] = cd
 	for k, j := range w.nbrs {
 		if w.processed[j] {
@@ -277,36 +282,42 @@ func medianFloat(vals []float64) float64 {
 	}
 }
 
-// quickselect returns the k-th smallest value of vals (0-based),
-// partially reordering vals in place. Hoare-style selection: expected
-// linear time, no allocation.
-func quickselect(vals []float64, k int) float64 {
-	lo, hi := 0, len(vals)-1
-	for lo < hi {
-		pivot := vals[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for vals[i] < pivot {
-				i++
+// keepSmallest offers v to h, a max-heap of the k smallest values
+// offered so far, and returns h. Once k or more values have been
+// offered, h[0] is the k-th smallest of them; h never outgrows k, so
+// a reused h allocates nothing.
+func keepSmallest(h []float64, v float64, k int) []float64 {
+	if len(h) < k {
+		h = append(h, v)
+		for i := len(h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if h[parent] >= h[i] {
+				break
 			}
-			for vals[j] > pivot {
-				j--
-			}
-			if i <= j {
-				vals[i], vals[j] = vals[j], vals[i]
-				i++
-				j--
-			}
+			h[parent], h[i] = h[i], h[parent]
+			i = parent
 		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
+		return h
+	}
+	if v >= h[0] {
+		return h
+	}
+	h[0] = v
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
 			break
 		}
+		if r := c + 1; r < len(h) && h[r] > h[c] {
+			c = r
+		}
+		if h[i] >= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	return vals[k]
+	return h
 }
 
 // seedItem is an entry of the OPTICS priority queue.

@@ -211,3 +211,36 @@ func TestDBSCANMatchesPrecomputedReference(t *testing.T) {
 		}
 	}
 }
+
+// quickselect returns the k-th smallest value of vals (0-based),
+// partially reordering vals in place. Hoare-style selection: expected
+// linear time, no allocation. It was OPTICS's core-distance selection
+// before keepSmallest and stays the reference the parity tests use.
+func quickselect(vals []float64, k int) float64 {
+	lo, hi := 0, len(vals)-1
+	for lo < hi {
+		pivot := vals[(lo+hi)/2]
+		i, j := lo, hi
+		for i <= j {
+			for vals[i] < pivot {
+				i++
+			}
+			for vals[j] > pivot {
+				j--
+			}
+			if i <= j {
+				vals[i], vals[j] = vals[j], vals[i]
+				i++
+				j--
+			}
+		}
+		if k <= j {
+			hi = j
+		} else if k >= i {
+			lo = i
+		} else {
+			break
+		}
+	}
+	return vals[k]
+}

@@ -52,15 +52,18 @@ func VarianceMeters(pts []Point) float64 {
 }
 
 // GyrationRadius returns the root-mean-square distance (meters) of pts
-// from their centroid — the spatial "spread" of the set.
+// from their centroid — the spatial "spread" of the set. The centroid's
+// latitude cosine is taken once; HaversineCos with the same cosines is
+// Haversine bit for bit.
 func GyrationRadius(pts []Point) float64 {
 	if len(pts) == 0 {
 		return 0
 	}
 	c := Centroid(pts)
+	cosC := CosLat(c.Lat)
 	var sum float64
 	for _, p := range pts {
-		d := Haversine(c, p)
+		d := HaversineCos(c, cosC, p, CosLat(p.Lat))
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(pts)))

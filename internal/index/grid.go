@@ -25,13 +25,30 @@ type Grid struct {
 	minY     float64
 	cols     int
 	rows     int
-	// Cells are stored contiguously: ids holds point IDs grouped by
-	// cell, cellStart[c]..cellStart[c+1] delimiting cell c. When the
-	// grid would need more than maxDenseCells cells, the sparse map is
-	// used instead.
+	cellTable
+}
+
+// cellTable buckets point IDs by grid cell. Dense tables store the
+// cells contiguously: ids holds point IDs grouped by cell in ascending
+// cell order, ascending within each cell, cellStart[c]..cellStart[c+1]
+// delimiting cell c. When the grid would need more than maxDenseCells
+// cells, the sparse map is used instead.
+type cellTable struct {
 	ids       []int
 	cellStart []int
 	sparse    map[int][]int
+	// keep, when set, is the membership of a GridView by point ID. The
+	// view's cells already hold only its members; keep filters the
+	// exact fallback, which scans every ID instead of the cells.
+	keep []bool
+}
+
+// cell returns the point IDs of cell key k.
+func (t *cellTable) cell(k int) []int {
+	if t.cellStart != nil {
+		return t.ids[t.cellStart[k]:t.cellStart[k+1]]
+	}
+	return t.sparse[k]
 }
 
 // maxDenseCells bounds the contiguous cell table; beyond it the grid
@@ -119,14 +136,6 @@ func NewGridPacked(pp *geo.PackedPoints, cellSize float64) *Grid {
 	return g
 }
 
-// cell returns the point IDs of cell key k.
-func (g *Grid) cell(k int) []int {
-	if g.cellStart != nil {
-		return g.ids[g.cellStart[k]:g.cellStart[k+1]]
-	}
-	return g.sparse[k]
-}
-
 func (g *Grid) cellCoords(x, y float64) (cx, cy int) {
 	cx = int((x - g.minX) / g.cellSize)
 	cy = int((y - g.minY) / g.cellSize)
@@ -150,7 +159,7 @@ func (g *Grid) Within(center geo.Point, radius float64) []int {
 // appended to buf and the extended slice is returned. See the Index
 // documentation for the aliasing contract.
 func (g *Grid) WithinAppend(center geo.Point, radius float64, buf []int) []int {
-	return g.within(center, radius, buf, false)
+	return g.within(&g.cellTable, center, radius, buf, false)
 }
 
 // WithinSortedAppend implements Index without sorting on the common
@@ -160,12 +169,13 @@ func (g *Grid) WithinAppend(center geo.Point, radius float64, buf []int) []int {
 // query visiting more than maxRuns runs fall back to slices.Sort; the
 // exact fallback scans ids in order and needs neither.
 func (g *Grid) WithinSortedAppend(center geo.Point, radius float64, buf []int) []int {
-	return g.within(center, radius, buf, true)
+	return g.within(&g.cellTable, center, radius, buf, true)
 }
 
 // within is the one cell scan behind WithinAppend and
-// WithinSortedAppend; sorted selects the ascending result order.
-func (g *Grid) within(center geo.Point, radius float64, buf []int, sorted bool) []int {
+// WithinSortedAppend, over the cells of t: the grid's own or a view's.
+// sorted selects the ascending result order.
+func (g *Grid) within(t *cellTable, center geo.Point, radius float64, buf []int, sorted bool) []int {
 	if g.pp.Len() == 0 || radius < 0 {
 		return buf
 	}
@@ -176,6 +186,9 @@ func (g *Grid) within(center geo.Point, radius float64, buf []int, sorted bool) 
 	lo, hi, ok := g.lats.bounds(g.proj.CosLat(), center.Lat, radius)
 	if !ok {
 		for id := 0; id < g.pp.Len(); id++ {
+			if t.keep != nil && !t.keep[id] {
+				continue
+			}
 			if geo.Haversine(center, g.pp.At(id)) <= radius {
 				buf = append(buf, id)
 			}
@@ -219,8 +232,8 @@ func (g *Grid) within(center geo.Point, radius float64, buf []int, sorted bool) 
 	// the map holds entries; iterating the occupied cells is cheaper.
 	// The box area is compared in floating point: with per-axis sizes up
 	// to 2³¹ the product can overflow an int.
-	if g.sparse != nil && float64(hiX-loX+1)*float64(hiY-loY+1) > float64(len(g.sparse)) {
-		for key, ids := range g.sparse {
+	if t.sparse != nil && float64(hiX-loX+1)*float64(hiY-loY+1) > float64(len(t.sparse)) {
+		for key, ids := range t.sparse {
 			cx, cy := key%g.cols, key/g.cols
 			if cx < loX || cx > hiX || cy < loY || cy > hiY {
 				continue
@@ -242,7 +255,7 @@ func (g *Grid) within(center geo.Point, radius float64, buf []int, sorted bool) 
 	for cy := loY; cy <= hiY; cy++ {
 		for cx := loX; cx <= hiX; cx++ {
 			start := len(buf)
-			for _, id := range g.cell(cy*g.cols + cx) {
+			for _, id := range t.cell(cy*g.cols + cx) {
 				buf = test(id, buf)
 			}
 			if !sorted || start == len(buf) || (nr > 0 && buf[start-1] < buf[start]) {

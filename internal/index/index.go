@@ -129,6 +129,16 @@ func NewPacked(kind Kind, pp *geo.PackedPoints, hint float64) Index {
 	}
 }
 
+// AsGrid returns the grid behind idx, sampled by SetMetrics or not, or
+// nil when idx is another backend.
+func AsGrid(idx Index) *Grid {
+	if s, ok := idx.(*sampled); ok {
+		idx = s.Index
+	}
+	g, _ := idx.(*Grid)
+	return g
+}
+
 // heapItem pairs a point ID with its distance to the query point.
 type heapItem struct {
 	id   int

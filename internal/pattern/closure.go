@@ -1,13 +1,16 @@
 package pattern
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"strconv"
 
 	"csdm/internal/exec"
 	"csdm/internal/geo"
 	"csdm/internal/index"
+	"csdm/internal/poi"
 	"csdm/internal/trajectory"
 )
 
@@ -17,9 +20,14 @@ import (
 // under (ε_t, δ_t, ⊇) containment, and the per-position collections of
 // their counterpart stay points.
 //
-// A naive closure scans the whole database per BFS level. Two
+// A naive closure scans the whole database per BFS level. Three
 // optimizations keep it fast without changing the result:
 //
+//   - semantic masking: every target's semantics are positionwise
+//     supersets of the representative's, so only a trajectory holding
+//     stays k0 < … < k_{m−1} with S ⊇ rep[j].S can join the closure
+//     (see carries); the per-worker grid view holds only those
+//     trajectories' stays;
 //   - spatial prefiltering: a trajectory can only contain a target if it
 //     has stays within ε_t of the target's first and last stay, so a
 //     grid index over all stays shortlists candidates;
@@ -30,8 +38,10 @@ type closureComputer struct {
 	db     []trajectory.SemanticTrajectory
 	params trajectory.ContainParams
 	// stayIdx indexes every stay of every trajectory; stayTraj maps the
-	// indexed stay back to its trajectory.
+	// indexed stay back to its trajectory. grid is stayIdx's grid, nil
+	// on the other backends.
 	stayIdx  index.Index
+	grid     *index.Grid
 	stayTraj []int
 	quantum  float64
 	// proj is a fixed projection for quantizing counterpart keys; it
@@ -59,6 +69,7 @@ func newClosureComputer(db []trajectory.SemanticTrajectory, params Params, kind 
 		}
 	}
 	cc.stayIdx = index.New(kind, pts, math.Max(params.EpsT, 50))
+	cc.grid = index.AsGrid(cc.stayIdx)
 	cc.proj = geo.NewProjection(geo.Centroid(pts))
 	return cc
 }
@@ -80,6 +91,14 @@ type closureScratch struct {
 	frontier []trajectory.SemanticTrajectory
 	next     []trajectory.SemanticTrajectory
 	keyBuf   []byte
+	// The semantic mask: keep[ti] reports that trajectory ti carries
+	// maskSems, the semantic sequence of the representative the mask
+	// was built for by maskOf. view is maskOf's grid view over the kept
+	// trajectories' stays, used when maskOf has a grid.
+	maskOf   *closureComputer
+	maskSems []poi.Semantics
+	keep     []bool
+	view     index.GridView
 }
 
 func newClosureScratch() *closureScratch {
@@ -109,10 +128,64 @@ func (m *marks) stamp(n int) uint32 {
 	return m.epoch
 }
 
-// candidates returns the database trajectories having stays within
-// ε_t of both endpoints of the target, in the order of the last
-// endpoint's range query. The returned slice is sc's and only valid
-// until the next candidates call on the same scratch.
+// carries reports whether stays hold a subsequence k0 < … < k_{m−1}
+// with stays[k_j].S ⊇ sems[j]. Taking the leftmost fit for each
+// position in turn finds one whenever one exists.
+func carries(stays []trajectory.StayPoint, sems []poi.Semantics) bool {
+	j := 0
+	for _, sp := range stays {
+		if j == len(sems) {
+			break
+		}
+		if sp.S.Contains(sems[j]) {
+			j++
+		}
+	}
+	return j == len(sems)
+}
+
+// mask points sc's semantic mask at the representative rep, building
+// it only when the mask sc holds was made for other semantics. By
+// Definition 7(iii) each counterpart stay's semantics contain its
+// target's, so by induction from rep every frontier target t has
+// t[j].S ⊇ rep[j].S, and a trajectory matching t carries rep's
+// semantic sequence: trajectories the mask rejects never join the
+// closure.
+func (cc *closureComputer) mask(rep []trajectory.StayPoint, sc *closureScratch) {
+	if sc.maskOf == cc && slices.EqualFunc(sc.maskSems, rep, func(s poi.Semantics, sp trajectory.StayPoint) bool {
+		return s == sp.S
+	}) {
+		return
+	}
+	sc.maskOf = cc
+	sc.maskSems = sc.maskSems[:0]
+	for _, sp := range rep {
+		sc.maskSems = append(sc.maskSems, sp.S)
+	}
+	sc.keep = slices.Grow(sc.keep[:0], len(cc.db))[:len(cc.db)]
+	for ti, st := range cc.db {
+		sc.keep[ti] = carries(st.Stays, sc.maskSems)
+	}
+	if cc.grid != nil {
+		sc.view.Restrict(cc.grid, func(id int) bool { return sc.keep[cc.stayTraj[id]] })
+	}
+}
+
+// within answers a closure range query: on the grid backend from sc's
+// view, which holds only the stays of trajectories the mask keeps, and
+// otherwise from the full index.
+func (cc *closureComputer) within(center geo.Point, sc *closureScratch) []int {
+	if cc.grid != nil {
+		return sc.view.WithinAppend(center, cc.params.MaxDist, sc.ids[:0])
+	}
+	return cc.stayIdx.WithinAppend(center, cc.params.MaxDist, sc.ids[:0])
+}
+
+// candidates returns the database trajectories that the mask in sc
+// keeps and that have stays within ε_t of both endpoints of the
+// target, in the order of the last endpoint's range query. The
+// returned slice is sc's and only valid until the next candidates call
+// on the same scratch.
 func (cc *closureComputer) candidates(target trajectory.SemanticTrajectory, sc *closureScratch) []int {
 	if target.Len() == 0 {
 		return nil
@@ -121,15 +194,19 @@ func (cc *closureComputer) candidates(target trajectory.SemanticTrajectory, sc *
 	last := target.Stays[target.Len()-1].P
 	// One mark slice serves both sets: a trajectory near the first
 	// endpoint carries nearFirst until it is emitted, then emitted.
+	// A grid view returns only kept trajectories' stays, so there the
+	// keep test never fails; the other backends return every stay.
 	nearFirst := sc.near.stamp(len(cc.db))
 	emitted := sc.near.stamp(len(cc.db))
 	mark := sc.near.at
-	sc.ids = cc.stayIdx.WithinAppend(first, cc.params.MaxDist, sc.ids[:0])
+	sc.ids = cc.within(first, sc)
 	for _, si := range sc.ids {
-		mark[cc.stayTraj[si]] = nearFirst
+		if ti := cc.stayTraj[si]; sc.keep[ti] {
+			mark[ti] = nearFirst
+		}
 	}
 	out := sc.cand[:0]
-	sc.ids = cc.stayIdx.WithinAppend(last, cc.params.MaxDist, sc.ids[:0])
+	sc.ids = cc.within(last, sc)
 	for _, si := range sc.ids {
 		ti := cc.stayTraj[si]
 		if mark[ti] == nearFirst {
@@ -163,6 +240,7 @@ func (cc *closureComputer) key(st trajectory.SemanticTrajectory, sc *closureScra
 // the representative's own stays are members of their groups).
 func (cc *closureComputer) supportGroups(rep []trajectory.StayPoint, sc *closureScratch) (int, [][]trajectory.StayPoint) {
 	m := len(rep)
+	cc.mask(rep, sc)
 	groups := make([][]trajectory.StayPoint, m)
 	query := trajectory.SemanticTrajectory{Stays: rep}
 
@@ -291,7 +369,10 @@ func sameItems(a, b Pattern) bool {
 // Definition 10 groups), replacing the refinement-cluster approximation
 // built by buildPattern. Patterns are independent, so the closures run
 // on the worker pool; pattern i's support/groups land back at slot i,
-// keeping the output worker-count independent.
+// keeping the output worker-count independent. The pool visits the
+// patterns stably sorted by their representatives' semantics, so a
+// worker's scratch rebuilds its mask and grid view about once per
+// distinct semantic sequence rather than once per pattern.
 func finalize(ctx context.Context, db []trajectory.SemanticTrajectory, ps []Pattern, params Params, opt exec.Options) ([]Pattern, error) {
 	if len(ps) == 0 {
 		return ps, nil
@@ -302,7 +383,17 @@ func finalize(ctx context.Context, db []trajectory.SemanticTrajectory, ps []Patt
 	for i := range scratch {
 		scratch[i] = newClosureScratch()
 	}
-	err := exec.ParallelForSlots(ctx, opt.Workers, len(ps), func(slot, i int) error {
+	order := make([]int, len(ps))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return slices.CompareFunc(ps[a].Stays, ps[b].Stays, func(x, y trajectory.StayPoint) int {
+			return cmp.Compare(x.S, y.S)
+		})
+	})
+	err := exec.ParallelForSlots(ctx, opt.Workers, len(ps), func(slot, k int) error {
+		i := order[k]
 		sup, groups := cc.supportGroups(ps[i].Stays, scratch[slot])
 		ps[i].Support = sup
 		ps[i].Groups = groups

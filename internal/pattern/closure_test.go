@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -193,19 +194,40 @@ func TestParamsNormalized(t *testing.T) {
 // closureWorkload builds a database of nFlows flows of perFlow
 // trajectories each, with anchors scattered over a side×side square so
 // that some flows overlap, and one pattern per flow whose
-// representative is the flow's first trajectory.
+// representative is the flow's first trajectory. Each flow also gets
+// perFlow/5 (at least one) of each of three decoys, trajectories with
+// stays near both anchors that cannot carry the flow's semantics
+// unless its two semantics coincide: the reverse trip, the trip with
+// the wrong semantics at its destination, and a 3-stay trip that
+// visits the destination before the origin. As many trips whose
+// semantics are supersets of the flow's at both ends can join the
+// closure.
 func closureWorkload(rng *rand.Rand, nFlows, perFlow int, side, spread float64) ([]trajectory.SemanticTrajectory, []Pattern) {
 	sems := []poi.Semantics{home, office, shop}
 	var db []trajectory.SemanticTrajectory
 	var ps []Pattern
+	const gap = 30 * time.Minute
 	for f := 0; f < nFlows; f++ {
 		a := [2]float64{rng.Float64() * side, rng.Float64() * side}
 		b := [2]float64{rng.Float64() * side, rng.Float64() * side}
 		s := [2]poi.Semantics{sems[rng.Intn(len(sems))], sems[rng.Intn(len(sems))]}
-		trajs := flow(rng, perFlow, a, b, spread, 30*time.Minute, s)
+		trajs := flow(rng, perFlow, a, b, spread, gap, s)
 		rep := trajs[0].Stays
 		ps = append(ps, Pattern{Stays: rep, Items: []poi.Semantics{rep[0].S, rep[1].S}})
 		db = append(db, trajs...)
+
+		wrong := sems[(slices.Index(sems, s[1])+1+rng.Intn(len(sems)-1))%len(sems)]
+		c := [2]float64{rng.Float64() * side, rng.Float64() * side}
+		for range max(perFlow/5, 1) {
+			db = append(db, flow(rng, 1, b, a, spread, gap, [2]poi.Semantics{s[1], s[0]})...)
+			db = append(db, flow(rng, 1, a, b, spread, gap, [2]poi.Semantics{s[0], wrong})...)
+			st := flow(rng, 1, b, a, spread, gap, [2]poi.Semantics{s[1], s[0]})[0]
+			st.Stays = append(st.Stays, trajectory.StayPoint{
+				P: at(c[0], c[1]), T: st.Stays[1].T.Add(gap), S: wrong,
+			})
+			db = append(db, st)
+			db = append(db, flow(rng, 1, a, b, spread, gap, [2]poi.Semantics{s[0].Union(wrong), s[1].Union(wrong)})...)
+		}
 	}
 	rng.Shuffle(len(db), func(i, j int) { db[i], db[j] = db[j], db[i] })
 	return db, ps
