@@ -157,9 +157,9 @@ func TestCLIMetricsOut(t *testing.T) {
 
 	code, out := runCLI(t, bin, "-pois", pois, "-journeys", journeys,
 		"-checkpoint", filepath.Join(dir, "ckpt"),
-		"-metrics-out", metricsPath, "mine")
+		"-metrics-out", metricsPath, "-trace", "mine")
 	if code != 0 {
-		t.Fatalf("mine with -metrics-out: exit %d\n%s", code, out)
+		t.Fatalf("mine with -metrics-out -trace: exit %d\n%s", code, out)
 	}
 	raw, err := os.ReadFile(metricsPath)
 	if err != nil {
@@ -186,4 +186,30 @@ func TestCLIMetricsOut(t *testing.T) {
 	if errs := obs.Lint(strings.NewReader(body)); len(errs) != 0 {
 		t.Fatalf("metrics dump fails lint: %v\n%s", errs, body)
 	}
+	// One store: the -trace report lists the registry-hooked exec
+	// counter and the trace's own checkpoint counter with the values
+	// the dump exposes under their sanitized names.
+	for report, dump := range map[string]string{
+		"csdm_exec_tasks_total": "csdm_exec_tasks_total",
+		"ckpt.saved.diagram":    "ckpt_saved_diagram",
+	} {
+		want, ok := metricValue(body, dump)
+		if !ok {
+			t.Fatalf("metrics dump lacks %s:\n%s", dump, body)
+		}
+		if got, ok := metricValue(out, report); !ok || got != want {
+			t.Errorf("-trace report %s = %q (listed=%v), dump %s = %q", report, got, ok, dump, want)
+		}
+	}
+}
+
+// metricValue returns the value on the first "name value" line of a
+// -trace report or a Prometheus dump.
+func metricValue(text, name string) (string, bool) {
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+			return f[1], true
+		}
+	}
+	return "", false
 }

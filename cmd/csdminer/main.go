@@ -27,10 +27,10 @@
 // pipeline stage (1 = sequential; results are identical either way)
 // and -index selects the spatial-index backend (grid, kdtree, rtree).
 // -trace prints the per-stage telemetry report to stderr after the
-// run; -debug-addr serves net/http/pprof, expvar (the live counters
-// under "csdm"), /debug/trace (the span tree as JSON), /debug/stages
-// (the stage graph with each artifact's build origin) and /metrics
-// (the process metrics registry in Prometheus text format) for
+// run; -debug-addr serves net/http/pprof, expvar (the runtime's
+// memstats), /debug/trace (the span tree and metrics as JSON),
+// /debug/stages (the stage graph with each artifact's build origin)
+// and /metrics (the same metrics in Prometheus text format) for
 // inspecting a long run in flight — see internal/obs/obshttp.
 // -metrics-out writes a final Prometheus-format metrics dump to a
 // file after the run; -linger keeps the debug server alive after the
@@ -110,7 +110,7 @@ func main() {
 		savePattern = flag.String("save-patterns", "", "write the mined pattern set to this file (mine; the format csdserve -patterns serves)")
 		loadDiagram = flag.String("load-diagram", "", "reuse a diagram previously written with -save-diagram")
 		traceFlag   = flag.Bool("trace", false, "print the per-stage telemetry report to stderr")
-		debugAddr   = flag.String("debug-addr", "", "serve pprof, expvar and /debug/trace on this address (e.g. localhost:6060)")
+		debugAddr   = flag.String("debug-addr", "", "serve pprof, expvar, /debug/trace, /debug/stages and /metrics on this address (e.g. localhost:6060)")
 		workers     = flag.Int("workers", 0, "worker budget for parallel pipeline stages (0 = all cores, 1 = sequential)")
 		indexKind   = flag.String("index", "grid", "spatial index backend (grid, kdtree, rtree)")
 		lenient     = flag.Bool("lenient", false, "skip malformed input rows instead of failing the load")
@@ -142,22 +142,21 @@ func main() {
 		progress("fault injection active: %s (seed %d)", *faultSpec, *faultSeed)
 	}
 
-	// Telemetry wiring. The per-run Trace exists whenever any telemetry
-	// consumer does; the process-lifetime Registry exists whenever a
-	// scrape surface does (-debug-addr) or a final dump was requested
-	// (-metrics-out). The trace mirrors onto the registry, and the
-	// execution, index and fault layers hook in directly, so /metrics
-	// carries the whole pipeline: stage durations, task latencies,
-	// sampled index queries, checkpoint/fault/load counters, and the
-	// runtime sampler's process-health gauges.
+	// Telemetry wiring. The Trace exists whenever any telemetry consumer
+	// does, and its Registry is the one metrics store every view reads:
+	// the -trace report, /debug/trace, /metrics and -metrics-out. When a
+	// scrape surface (-debug-addr) or a final dump (-metrics-out) is on,
+	// the execution, index and fault layers and the runtime sampler
+	// write that Registry too, so every view carries the whole pipeline:
+	// stage durations, task latencies, sampled index queries,
+	// checkpoint/fault/load counters and process-health gauges.
 	var tr *obs.Trace
 	var reg *obs.Registry
 	if *traceFlag || *debugAddr != "" || *metricsOut != "" {
 		tr = obs.New()
 	}
 	if *debugAddr != "" || *metricsOut != "" {
-		reg = obs.NewRegistry()
-		tr.Mirror(reg)
+		reg = tr.Registry()
 		exec.SetMetrics(reg)
 		index.SetMetrics(reg, 0)
 		fault.SetMetrics(reg)

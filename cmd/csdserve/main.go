@@ -115,7 +115,7 @@ func main() {
 		Registry:       reg,
 		Logf:           progress,
 	})
-	obshttp.Register(srv.Mux(), obshttp.Options{Registry: reg, ExpvarName: "csdserve", Logf: progress})
+	obshttp.Register(srv.Mux(), obshttp.Options{Registry: reg, Logf: progress})
 
 	if *current != "" {
 		if err := srv.LoadCurrent(*current); err != nil {

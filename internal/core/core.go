@@ -397,14 +397,6 @@ func (p *Pipeline) databaseCell(kind RecognizerKind) *stage.Cell[[]trajectory.Se
 	return p.dbCSD
 }
 
-// UseDatabase installs a pre-built (e.g. checkpoint-resumed) annotated
-// database for the given recognizer kind, skipping chaining and
-// annotation. It must be called before the first Database or Mine
-// call for that kind; afterwards it has no effect.
-func (p *Pipeline) UseDatabase(kind RecognizerKind, db []trajectory.SemanticTrajectory) {
-	p.databaseCell(kind).Set(db)
-}
-
 // DatabaseArtifact returns the checkpoint artifact name of the kind's
 // database stage, as declared on the stage graph ("db-csd", "db-roi").
 func (p *Pipeline) DatabaseArtifact(kind RecognizerKind) string {

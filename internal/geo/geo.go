@@ -235,30 +235,14 @@ func (r Rect) Center() Point {
 	return Point{Lon: (r.Min.Lon + r.Max.Lon) / 2, Lat: (r.Min.Lat + r.Max.Lat) / 2}
 }
 
-// BufferMeters grows the rectangle by d meters on every side, using the
-// latitude of the rectangle's center for the longitude scale.
-func (r Rect) BufferMeters(d float64) Rect {
-	const radToDeg = 180 / math.Pi
-	dLat := d / EarthRadiusMeters * radToDeg
-	cos := math.Cos(r.Center().Lat * math.Pi / 180)
-	if cos < 1e-9 {
-		cos = 1e-9
-	}
-	dLon := d / (EarthRadiusMeters * cos) * radToDeg
-	return Rect{
-		Min: Point{Lon: r.Min.Lon - dLon, Lat: r.Min.Lat - dLat},
-		Max: Point{Lon: r.Max.Lon + dLon, Lat: r.Max.Lat + dLat},
-	}
-}
-
 // ExpandMeters returns a rectangle guaranteed to contain every point
 // within d meters (great-circle) of some point in r — the conservative
-// halo the sharded pipeline loads stay points from. Unlike
-// BufferMeters, which scales longitude by the cosine at the
-// rectangle's center and can under-cover near the edges of a tall
-// tile, the longitude widening here uses the spherical cap formula at
-// the worst (highest-|lat|) latitude of the expanded band, so the
-// result is a superset for any tile geometry short of the poles.
+// halo the sharded pipeline loads stay points from. Scaling longitude
+// by the cosine at the rectangle's center would under-cover near the
+// edges of a tall tile, so the longitude widening uses the spherical
+// cap formula at the worst (highest-|lat|) latitude of the expanded
+// band: the result is a superset for any tile geometry short of the
+// poles.
 func (r Rect) ExpandMeters(d float64) Rect {
 	if d <= 0 {
 		return r

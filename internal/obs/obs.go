@@ -1,6 +1,9 @@
 // Package obs is the pipeline telemetry layer: hierarchical wall-time
-// spans plus atomically updated named counters and gauges, collected
-// into a Trace that renders as an indented text report or as JSON.
+// spans collected into a Trace, plus the one metrics store — a Registry
+// of counters, gauges and histograms — that every view reads. A Trace
+// owns its spans and one Registry: its counter, gauge and histogram
+// methods write that Registry, the text report and the JSON snapshot
+// read it, and so does the Prometheus exposition behind /metrics.
 //
 // Every method is nil-safe: a nil *Trace — and the nil *Span that its
 // Start returns — is a complete no-op, so instrumented code threads a
@@ -13,45 +16,35 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Trace owns the spans, counters and gauges of one pipeline run. The
-// zero value is not useful; use New. All methods are safe for
-// concurrent use — extraction stages update counters from worker
-// goroutines.
+// Trace owns the spans of one pipeline run and the Registry its
+// counters, gauges and histograms live in. The zero value is not
+// useful; use New. All methods are safe for concurrent use —
+// extraction stages update counters from worker goroutines.
 type Trace struct {
 	mu    sync.Mutex
 	roots []*Span
-
-	counters sync.Map // string -> *int64
-	gauges   sync.Map // string -> *uint64 (math.Float64bits)
-	hists    sync.Map // string -> *Histogram
-
-	// mirror, when set, receives a copy of every counter delta, gauge
-	// set and histogram observation — the bridge from the per-run Trace
-	// to the process-lifetime Registry behind /metrics.
-	mirror atomic.Pointer[Registry]
+	reg   *Registry
 }
 
-// New returns an empty trace ready to collect telemetry.
-func New() *Trace { return &Trace{} }
+// New returns an empty trace, with an empty Registry, ready to collect
+// telemetry.
+func New() *Trace { return &Trace{reg: NewRegistry()} }
 
-// Mirror forwards every future counter delta, gauge set and histogram
-// observation to r as well, so a process-lifetime Registry accumulates
-// across runs while the Trace stays per-run. Passing nil detaches.
-// Attach before the run starts; the forwarding pointer is read
-// atomically, so a late attach is safe but misses earlier updates.
-func (t *Trace) Mirror(r *Registry) {
+// Registry returns the store behind the trace's metrics (nil for a nil
+// trace). Layers that instrument a Registry directly — the execution,
+// index and fault hooks, the runtime sampler — write it, so the trace's
+// report and snapshot show their metrics next to the pipeline's own.
+func (t *Trace) Registry() *Registry {
 	if t == nil {
-		return
+		return nil
 	}
-	t.mirror.Store(r)
+	return t.reg
 }
 
 // Start opens a root span. On a nil trace it returns a nil span, whose
@@ -73,14 +66,7 @@ func (t *Trace) Add(name string, delta int64) {
 	if t == nil {
 		return
 	}
-	v, ok := t.counters.Load(name)
-	if !ok {
-		v, _ = t.counters.LoadOrStore(name, new(int64))
-	}
-	atomic.AddInt64(v.(*int64), delta)
-	if r := t.mirror.Load(); r != nil {
-		r.Add(name, delta)
-	}
+	t.reg.Add(name, delta)
 }
 
 // Counter returns the named counter's current value (zero when the
@@ -89,24 +75,7 @@ func (t *Trace) Counter(name string) int64 {
 	if t == nil {
 		return 0
 	}
-	v, ok := t.counters.Load(name)
-	if !ok {
-		return 0
-	}
-	return atomic.LoadInt64(v.(*int64))
-}
-
-// Counters snapshots every counter.
-func (t *Trace) Counters() map[string]int64 {
-	if t == nil {
-		return nil
-	}
-	out := make(map[string]int64)
-	t.counters.Range(func(k, v any) bool {
-		out[k.(string)] = atomic.LoadInt64(v.(*int64))
-		return true
-	})
-	return out
+	return t.reg.Counter(name)
 }
 
 // SetGauge records the latest value of the named gauge.
@@ -114,39 +83,7 @@ func (t *Trace) SetGauge(name string, value float64) {
 	if t == nil {
 		return
 	}
-	v, ok := t.gauges.Load(name)
-	if !ok {
-		v, _ = t.gauges.LoadOrStore(name, new(uint64))
-	}
-	atomic.StoreUint64(v.(*uint64), math.Float64bits(value))
-	if r := t.mirror.Load(); r != nil {
-		r.SetGauge(name, value)
-	}
-}
-
-// Gauge returns the named gauge's latest value and whether it was set.
-func (t *Trace) Gauge(name string) (float64, bool) {
-	if t == nil {
-		return 0, false
-	}
-	v, ok := t.gauges.Load(name)
-	if !ok {
-		return 0, false
-	}
-	return math.Float64frombits(atomic.LoadUint64(v.(*uint64))), true
-}
-
-// Gauges snapshots every gauge.
-func (t *Trace) Gauges() map[string]float64 {
-	if t == nil {
-		return nil
-	}
-	out := make(map[string]float64)
-	t.gauges.Range(func(k, v any) bool {
-		out[k.(string)] = math.Float64frombits(atomic.LoadUint64(v.(*uint64)))
-		return true
-	})
-	return out
+	t.reg.SetGauge(name, value)
 }
 
 // Observe records one observation on the named histogram, creating it
@@ -158,40 +95,7 @@ func (t *Trace) Observe(name string, v float64) {
 	if t == nil {
 		return
 	}
-	h, ok := t.hists.Load(name)
-	if !ok {
-		h, _ = t.hists.LoadOrStore(name, NewHistogram(DefBuckets))
-	}
-	h.(*Histogram).Observe(v)
-	if r := t.mirror.Load(); r != nil {
-		r.Observe(name, v)
-	}
-}
-
-// HistogramSnapshot returns the named histogram's current state (the
-// zero snapshot when it was never observed).
-func (t *Trace) HistogramSnapshot(name string) HistogramSnapshot {
-	if t == nil {
-		return HistogramSnapshot{}
-	}
-	h, ok := t.hists.Load(name)
-	if !ok {
-		return HistogramSnapshot{}
-	}
-	return h.(*Histogram).Snapshot()
-}
-
-// Histograms snapshots every histogram.
-func (t *Trace) Histograms() map[string]HistogramSnapshot {
-	if t == nil {
-		return nil
-	}
-	out := make(map[string]HistogramSnapshot)
-	t.hists.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*Histogram).Snapshot()
-		return true
-	})
-	return out
+	t.reg.Observe(name, v)
 }
 
 // Span is one timed region of the pipeline. Spans nest: children are
@@ -232,13 +136,13 @@ func (s *Span) End() {
 	s.mu.Unlock()
 }
 
-// Add increments a counter on the span's trace — a convenience so
-// stage code holding only a span can still count.
+// Add increments a counter in the span's trace's Registry — a
+// convenience so stage code holding only a span can still count.
 func (s *Span) Add(name string, delta int64) {
 	if s == nil {
 		return
 	}
-	s.trace.Add(name, delta)
+	s.trace.reg.Add(name, delta)
 }
 
 // Name returns the span's name ("" for a nil span).
@@ -302,27 +206,23 @@ func (s *Span) snapshot() SpanSnapshot {
 	return snap
 }
 
-// Snapshot captures the trace's current spans, counters and gauges.
-// Open spans report their elapsed time so far, so a live debug
-// endpoint can snapshot mid-run.
+// Snapshot captures the trace's current spans and its Registry's
+// counters, gauges and histograms. Open spans report their elapsed
+// time so far, so a live debug endpoint can snapshot mid-run.
 func (t *Trace) Snapshot() Snapshot {
+	reg := t.Registry()
+	snap := Snapshot{
+		Spans:      []SpanSnapshot{},
+		Counters:   reg.Counters(),
+		Gauges:     reg.Gauges(),
+		Histograms: reg.Histograms(),
+	}
 	if t == nil {
-		return Snapshot{
-			Spans:      []SpanSnapshot{},
-			Counters:   map[string]int64{},
-			Gauges:     map[string]float64{},
-			Histograms: map[string]HistogramSnapshot{},
-		}
+		return snap
 	}
 	t.mu.Lock()
 	roots := append([]*Span(nil), t.roots...)
 	t.mu.Unlock()
-	snap := Snapshot{
-		Spans:      make([]SpanSnapshot, 0, len(roots)),
-		Counters:   t.Counters(),
-		Gauges:     t.Gauges(),
-		Histograms: t.Histograms(),
-	}
 	for _, r := range roots {
 		snap.Spans = append(snap.Spans, r.snapshot())
 	}
@@ -335,7 +235,8 @@ func (t *Trace) MarshalJSON() ([]byte, error) {
 }
 
 // WriteText writes the indented stage report: the span tree with wall
-// times, then counters and gauges sorted by name.
+// times, then the Registry's counters, gauges and histograms sorted by
+// name.
 func (t *Trace) WriteText(w io.Writer) error {
 	if t == nil {
 		return nil

@@ -100,16 +100,9 @@ func TestNilTraceNoOp(t *testing.T) {
 		t.Fatal("nil trace recorded a counter")
 	}
 	tr.SetGauge("g", 1)
-	if _, ok := tr.Gauge("g"); ok {
-		t.Fatal("nil trace recorded a gauge")
-	}
 	tr.Observe("h", 0.5)
-	if tr.HistogramSnapshot("h").Count != 0 {
-		t.Fatal("nil trace recorded a histogram observation")
-	}
-	tr.Mirror(NewRegistry()) // no-op, must not panic
-	if tr.Counters() != nil || tr.Gauges() != nil || tr.Histograms() != nil {
-		t.Fatal("nil trace returned non-nil maps")
+	if tr.Registry() != nil {
+		t.Fatal("nil trace returned a non-nil registry")
 	}
 	if tr.Report() != "" {
 		t.Fatal("nil trace produced a report")
@@ -156,51 +149,58 @@ func TestTraceObserve(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		tr.Observe("lat_seconds", float64(i)/1000)
 	}
-	h := tr.HistogramSnapshot("lat_seconds")
+	reg := tr.Registry()
+	h := reg.HistogramSnapshot("lat_seconds")
 	if h.Count != 100 {
 		t.Fatalf("count = %d, want 100", h.Count)
 	}
 	if h.P50 <= 0 || h.P95 < h.P50 || h.P99 < h.P95 {
 		t.Fatalf("quantiles not ordered: p50=%g p95=%g p99=%g", h.P50, h.P95, h.P99)
 	}
-	all := tr.Histograms()
+	all := reg.Histograms()
 	if len(all) != 1 || all["lat_seconds"].Count != 100 {
 		t.Fatalf("Histograms() = %+v, want one entry with count 100", all)
 	}
 	if rep := tr.Report(); !strings.Contains(rep, "histograms:") || !strings.Contains(rep, "lat_seconds") {
 		t.Fatalf("report missing histogram section:\n%s", rep)
 	}
-	if tr.HistogramSnapshot("missing").Count != 0 {
+	if reg.HistogramSnapshot("missing").Count != 0 {
 		t.Fatal("unknown histogram not zero")
 	}
 }
 
-// TestMirror verifies the Trace→Registry bridge: counters, gauges and
-// observations recorded on a mirrored trace land in the registry too.
-func TestMirror(t *testing.T) {
+// TestTraceRegistry verifies that a trace's metrics live in its one
+// Registry: writes through the trace land there, writes straight into
+// the Registry show up in the trace's snapshot and report, and the
+// Registry is the trace's own for its whole life.
+func TestTraceRegistry(t *testing.T) {
 	tr := New()
-	reg := NewRegistry()
-	tr.Mirror(reg)
+	reg := tr.Registry()
+	if reg == nil || tr.Registry() != reg {
+		t.Fatal("trace registry missing or not stable")
+	}
 	tr.Add("ckpt.saved.diagram", 3)
+	tr.Start("stage").Add("ckpt.saved.diagram", 1)
 	tr.SetGauge("csd.coverage", 0.75)
 	tr.Observe("stage_seconds", 0.01)
-	if got := reg.Counter("ckpt.saved.diagram"); got != 3 {
-		t.Fatalf("mirrored counter = %d, want 3", got)
+	if got := reg.Counter("ckpt.saved.diagram"); got != 4 {
+		t.Fatalf("registry counter = %d, want 4", got)
 	}
 	if v, ok := reg.Gauge("csd.coverage"); !ok || v != 0.75 {
-		t.Fatalf("mirrored gauge = %v (set=%v), want 0.75", v, ok)
+		t.Fatalf("registry gauge = %v (set=%v), want 0.75", v, ok)
 	}
 	if got := reg.HistogramSnapshot("stage_seconds").Count; got != 1 {
-		t.Fatalf("mirrored histogram count = %d, want 1", got)
+		t.Fatalf("registry histogram count = %d, want 1", got)
 	}
-	// Detach: further updates stay local.
-	tr.Mirror(nil)
-	tr.Add("ckpt.saved.diagram", 1)
-	if got := reg.Counter("ckpt.saved.diagram"); got != 3 {
-		t.Fatalf("detached mirror still updated: %d", got)
+	reg.Add("csdm_exec_tasks_total", 5)
+	if got := tr.Counter("csdm_exec_tasks_total"); got != 5 {
+		t.Fatalf("trace counter over registry write = %d, want 5", got)
 	}
-	if got := tr.Counter("ckpt.saved.diagram"); got != 4 {
-		t.Fatalf("trace counter = %d, want 4", got)
+	if got := tr.Snapshot().Counters["csdm_exec_tasks_total"]; got != 5 {
+		t.Fatalf("snapshot counter over registry write = %d, want 5", got)
+	}
+	if rep := tr.Report(); !strings.Contains(rep, "csdm_exec_tasks_total") {
+		t.Fatalf("report missing registry-written counter:\n%s", rep)
 	}
 }
 
@@ -232,7 +232,7 @@ func TestConcurrentCounters(t *testing.T) {
 	if got := tr.Counter("via-span"); got != 2*workers*perWorker {
 		t.Fatalf("via-span counter = %d, want %d", got, 2*workers*perWorker)
 	}
-	if v, ok := tr.Gauge("last"); !ok || v != perWorker-1 {
+	if v, ok := tr.Registry().Gauge("last"); !ok || v != perWorker-1 {
 		t.Fatalf("gauge = %v (set=%v), want %d", v, ok, perWorker-1)
 	}
 	if n := len(tr.Snapshot().Spans); n != workers {

@@ -1,11 +1,12 @@
 // Package obshttp serves the observability surface over HTTP: the
-// pprof and expvar debug endpoints, the per-run trace snapshot
-// (/debug/trace), the stage graph with build origins (/debug/stages),
-// and the process-lifetime metrics registry in Prometheus text
-// exposition format (/metrics). It exists so every binary that wants a
-// debug server — csdminer today, a serving daemon tomorrow — wires the
-// same endpoints the same way instead of hand-registering handlers on
-// the default mux.
+// pprof endpoints, the runtime's expvar variables (/debug/vars), the
+// trace snapshot (/debug/trace), the stage graph with build origins
+// (/debug/stages), and the metrics registry in Prometheus text
+// exposition format (/metrics). When the Registry is the Trace's own,
+// /debug/trace and /metrics are two views of one store. It exists so
+// every binary that wants a debug server — csdminer and csdserve —
+// wires the same endpoints the same way instead of hand-registering
+// handlers on the default mux.
 //
 // All endpoints are nil-tolerant: a nil Trace serves an empty (but
 // structurally stable) snapshot, a nil Registry serves an empty
@@ -19,7 +20,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 
 	"csdm/internal/obs"
 	"csdm/internal/stage"
@@ -27,20 +27,15 @@ import (
 
 // Options selects what the debug server exposes.
 type Options struct {
-	// Trace backs /debug/trace and the expvar counters/gauges block.
-	// The per-run telemetry; nil serves empty-but-stable JSON.
+	// Trace backs /debug/trace: its spans and its Registry's metrics.
+	// Nil serves empty-but-stable JSON.
 	Trace *obs.Trace
-	// Registry backs /metrics (Prometheus text exposition 0.0.4). The
-	// process-lifetime metrics; nil serves an empty document.
+	// Registry backs /metrics (Prometheus text exposition 0.0.4) —
+	// usually Trace.Registry(). Nil serves an empty document.
 	Registry *obs.Registry
 	// Stages backs /debug/stages: the declared stage graph with each
 	// artifact's build origin. Nil serves an empty list.
 	Stages func() []stage.Info
-	// ExpvarName is the expvar key the trace's counters and gauges are
-	// published under; empty means "csdm". Publishing is idempotent
-	// per name — later registrations for the same name are ignored
-	// (expvar itself panics on duplicates).
-	ExpvarName string
 	// Logf, when set, receives the server's status messages (listen
 	// address, serve errors). Nil logs errors via the log package and
 	// drops status messages.
@@ -53,32 +48,13 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
-// publishedVars guards expvar.Publish, which panics on a duplicate
-// name; tests (and a process restarting its debug server) re-register.
-var (
-	publishedMu   sync.Mutex
-	publishedVars = map[string]bool{}
-)
-
-func publishOnce(name string, v expvar.Var) {
-	publishedMu.Lock()
-	defer publishedMu.Unlock()
-	if publishedVars[name] {
-		return
-	}
-	publishedVars[name] = true
-	expvar.Publish(name, v)
-}
-
 // ContentTypeMetrics is the Prometheus text exposition content type.
 const ContentTypeMetrics = "text/plain; version=0.0.4; charset=utf-8"
 
-// NewMux builds the debug mux: /debug/pprof/*, /debug/vars (expvar,
-// with the trace's live counters and gauges under o.ExpvarName),
-// /debug/trace, /debug/stages, and /metrics. It registers nothing on
-// the default mux, so two servers with different options can coexist
-// in one process (the expvar surface, a package-global by design, is
-// first-registration-wins per name).
+// NewMux builds the debug mux: /debug/pprof/*, /debug/vars (the
+// runtime's memstats and cmdline), /debug/trace, /debug/stages, and
+// /metrics. It registers nothing on the default mux, so two servers
+// with different options can coexist in one process.
 func NewMux(o Options) *http.ServeMux {
 	mux := http.NewServeMux()
 	Register(mux, o)
@@ -90,18 +66,6 @@ func NewMux(o Options) *http.ServeMux {
 // the uniform observability surface next to them instead of running a
 // second listener.
 func Register(mux *http.ServeMux, o Options) {
-	name := o.ExpvarName
-	if name == "" {
-		name = "csdm"
-	}
-	tr := o.Trace
-	publishOnce(name, expvar.Func(func() any {
-		return map[string]any{
-			"counters": tr.Counters(),
-			"gauges":   tr.Gauges(),
-		}
-	}))
-
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -113,7 +77,7 @@ func Register(mux *http.ServeMux, o Options) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(tr.Snapshot())
+		enc.Encode(o.Trace.Snapshot())
 	})
 
 	mux.HandleFunc("/debug/stages", func(w http.ResponseWriter, _ *http.Request) {

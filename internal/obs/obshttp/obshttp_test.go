@@ -3,6 +3,7 @@ package obshttp
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -31,8 +32,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (string, string) {
 
 func TestDebugEndpoints(t *testing.T) {
 	tr := obs.New()
-	reg := obs.NewRegistry()
-	tr.Mirror(reg)
+	reg := tr.Registry()
 	sp := tr.Start("stage.test")
 	tr.Add("ckpt.saved.diagram", 2)
 	tr.Observe("csdm_stage_duration_seconds", 0.01)
@@ -44,7 +44,7 @@ func TestDebugEndpoints(t *testing.T) {
 			{Name: "broken", Err: errors.New("nope")},
 		}
 	}
-	srv := httptest.NewServer(NewMux(Options{Trace: tr, Registry: reg, Stages: stages, ExpvarName: "csdm_test_a"}))
+	srv := httptest.NewServer(NewMux(Options{Trace: tr, Registry: reg, Stages: stages}))
 	defer srv.Close()
 
 	// /debug/trace: stable-shape JSON with the right content type.
@@ -79,7 +79,7 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatalf("stage error not surfaced: %s", body)
 	}
 
-	// /metrics: Prometheus exposition carrying the mirrored telemetry,
+	// /metrics: Prometheus exposition carrying the trace's telemetry,
 	// clean under the package linter.
 	body, ct = get(t, srv, "/metrics")
 	if ct != ContentTypeMetrics {
@@ -94,10 +94,10 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatalf("/metrics fails lint: %v\n%s", errs, body)
 	}
 
-	// /debug/vars: expvar still works and carries the csdm block.
+	// /debug/vars: expvar serves the runtime's own variables.
 	body, _ = get(t, srv, "/debug/vars")
-	if !strings.Contains(body, "csdm_test_a") {
-		t.Fatalf("/debug/vars missing published block:\n%s", body)
+	if !strings.Contains(body, `"memstats"`) {
+		t.Fatalf("/debug/vars missing memstats:\n%s", body)
 	}
 
 	// /debug/pprof/ index renders.
@@ -109,7 +109,7 @@ func TestDebugEndpoints(t *testing.T) {
 
 // TestNilTolerance: a mux over nothing still serves stable responses.
 func TestNilTolerance(t *testing.T) {
-	srv := httptest.NewServer(NewMux(Options{ExpvarName: "csdm_test_b"}))
+	srv := httptest.NewServer(NewMux(Options{}))
 	defer srv.Close()
 	body, _ := get(t, srv, "/debug/trace")
 	for _, want := range []string{`"spans": []`, `"counters": {}`, `"histograms": {}`} {
@@ -127,9 +127,39 @@ func TestNilTolerance(t *testing.T) {
 	}
 }
 
-// TestRepeatedPublish: building two muxes with the same expvar name
-// must not panic (expvar.Publish would).
-func TestRepeatedPublish(t *testing.T) {
-	NewMux(Options{ExpvarName: "csdm_test_c"})
-	NewMux(Options{ExpvarName: "csdm_test_c"})
+// TestOneStoreBacksEveryView: metrics written through the trace and
+// straight into its Registry (the way the exec, index and fault hooks
+// write) show the same values in /debug/trace and in /metrics.
+func TestOneStoreBacksEveryView(t *testing.T) {
+	tr := obs.New()
+	tr.Add("ckpt.saved.diagram", 3)
+	tr.Add("extract.CSD-PM.patterns", 125)
+	tr.SetGauge("csd.coverage", 0.75)
+	tr.Registry().Add("csdm_exec_tasks_total", 9)
+	srv := httptest.NewServer(NewMux(Options{Trace: tr, Registry: tr.Registry()}))
+	defer srv.Close()
+
+	body, _ := get(t, srv, "/debug/trace")
+	var snap obs.Snapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("/debug/trace not JSON: %v\n%s", err, body)
+	}
+	metrics, _ := get(t, srv, "/metrics")
+	counters := map[string]string{
+		"ckpt.saved.diagram":      "ckpt_saved_diagram",
+		"extract.CSD-PM.patterns": "extract_CSD_PM_patterns",
+		"csdm_exec_tasks_total":   "csdm_exec_tasks_total",
+	}
+	for name, fam := range counters {
+		v, ok := snap.Counters[name]
+		if !ok {
+			t.Fatalf("/debug/trace lacks counter %s: %s", name, body)
+		}
+		if want := fmt.Sprintf("\n%s %d\n", fam, v); !strings.Contains(metrics, want) {
+			t.Fatalf("/metrics lacks %q (the /debug/trace value):\n%s", strings.TrimSpace(want), metrics)
+		}
+	}
+	if v := snap.Gauges["csd.coverage"]; v != 0.75 || !strings.Contains(metrics, "\ncsd_coverage 0.75\n") {
+		t.Fatalf("gauge differs across views: /debug/trace %v, /metrics:\n%s", v, metrics)
+	}
 }

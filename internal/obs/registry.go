@@ -11,15 +11,13 @@ import (
 	"sync/atomic"
 )
 
-// Registry is the process-lifetime metrics store behind /metrics: named
-// counters, gauges and histograms that accumulate across pipeline runs,
-// written out in the Prometheus text exposition format (0.0.4). It is
-// distinct from the per-run Trace — a Trace is created, filled and
-// reported per pipeline run, while one Registry outlives every run in
-// the process (the shape a serving deployment scrapes). Wire a Trace
-// into a Registry with Trace.Mirror; instrument hot paths directly with
-// Histogram so the per-observation cost is one pointer's worth of
-// indirection and no map lookup.
+// Registry is the metrics store: named counters, gauges and histograms,
+// read back as snapshots (the trace report and /debug/trace) or written
+// out in the Prometheus text exposition format 0.0.4 (/metrics). Every
+// Trace owns one — Trace.Registry returns it — and a binary without a
+// trace (a serving daemon) creates its own with NewRegistry. Instrument
+// hot paths directly with Histogram so the per-observation cost is one
+// pointer's worth of indirection and no map lookup.
 //
 // Metric names may be plain ("go_goroutines"), dotted legacy telemetry
 // names ("ckpt.saved.diagram" — sanitized to ckpt_saved_diagram at
@@ -28,7 +26,8 @@ import (
 // splits back into one metric family with labeled series.
 //
 // All methods are nil-safe: a nil *Registry records nothing, returns
-// nil histograms (whose Observe is a no-op), and writes nothing.
+// nil histograms (whose Observe is a no-op), snapshots empty maps, and
+// writes nothing.
 type Registry struct {
 	counters sync.Map // string -> *int64
 	gauges   sync.Map // string -> *uint64 (math.Float64bits)
@@ -121,6 +120,42 @@ func (r *Registry) HistogramSnapshot(name string) HistogramSnapshot {
 		return HistogramSnapshot{}
 	}
 	return h.(*Histogram).Snapshot()
+}
+
+// Counters snapshots every counter (an empty, never nil, map).
+func (r *Registry) Counters() map[string]int64 {
+	out := make(map[string]int64)
+	if r != nil {
+		r.counters.Range(func(k, v any) bool {
+			out[k.(string)] = atomic.LoadInt64(v.(*int64))
+			return true
+		})
+	}
+	return out
+}
+
+// Gauges snapshots every gauge (an empty, never nil, map).
+func (r *Registry) Gauges() map[string]float64 {
+	out := make(map[string]float64)
+	if r != nil {
+		r.gauges.Range(func(k, v any) bool {
+			out[k.(string)] = math.Float64frombits(atomic.LoadUint64(v.(*uint64)))
+			return true
+		})
+	}
+	return out
+}
+
+// Histograms snapshots every histogram (an empty, never nil, map).
+func (r *Registry) Histograms() map[string]HistogramSnapshot {
+	out := make(map[string]HistogramSnapshot)
+	if r != nil {
+		r.hists.Range(func(k, v any) bool {
+			out[k.(string)] = v.(*Histogram).Snapshot()
+			return true
+		})
+	}
+	return out
 }
 
 // Describe sets the HELP text for a metric family (the name without
@@ -239,18 +274,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		s.labels = labels
 		fams[fam] = append(fams[fam], s)
 	}
-	r.counters.Range(func(k, v any) bool {
-		add(k.(string), series{kind: 'c', ival: atomic.LoadInt64(v.(*int64))})
-		return true
-	})
-	r.gauges.Range(func(k, v any) bool {
-		add(k.(string), series{kind: 'g', fval: math.Float64frombits(atomic.LoadUint64(v.(*uint64)))})
-		return true
-	})
-	r.hists.Range(func(k, v any) bool {
-		add(k.(string), series{kind: 'h', hist: v.(*Histogram).Snapshot()})
-		return true
-	})
+	for name, v := range r.Counters() {
+		add(name, series{kind: 'c', ival: v})
+	}
+	for name, v := range r.Gauges() {
+		add(name, series{kind: 'g', fval: v})
+	}
+	for name, h := range r.Histograms() {
+		add(name, series{kind: 'h', hist: h})
+	}
 
 	names := make([]string, 0, len(fams))
 	for n := range fams {

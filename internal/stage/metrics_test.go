@@ -10,13 +10,12 @@ import (
 	"csdm/internal/obs"
 )
 
-// TestStageMetrics runs stages through the engine with a traced,
-// registry-mirrored config and checks the per-stage duration histogram
+// TestStageMetrics runs stages through the engine with a traced config
+// and checks the per-stage duration histogram
 // and error/timeout counters land under their labeled families.
 func TestStageMetrics(t *testing.T) {
 	tr := obs.New()
-	reg := obs.NewRegistry()
-	tr.Mirror(reg)
+	reg := tr.Registry()
 	g := staticGraph(Config{Trace: tr})
 
 	ok := Add(g, Decl{Name: "fine"}, func(Env) (int, error) { return 1, nil })
@@ -61,8 +60,7 @@ func TestStageMetrics(t *testing.T) {
 // counter alongside the legacy dotted one.
 func TestStageTimeoutMetric(t *testing.T) {
 	tr := obs.New()
-	reg := obs.NewRegistry()
-	tr.Mirror(reg)
+	reg := tr.Registry()
 	g := staticGraph(Config{Trace: tr, StageTimeout: 5 * time.Millisecond})
 	slow := Add(g, Decl{Name: "slow"}, func(env Env) (int, error) {
 		<-env.Ctx.Done()

@@ -450,8 +450,8 @@ func run[T any](g *Graph, ctx context.Context, decl Decl, codec *Codec[T], fn Fu
 	}
 
 	// Outermost: the stage span, plus the per-stage duration histogram
-	// and error counter. Both are label-keyed metrics mirrored onto the
-	// process Registry when one is attached; the whole block is guarded
+	// and error counter. Both are label-keyed metrics in the trace's
+	// Registry, so /metrics exposes them; the whole block is guarded
 	// on cfg.Trace so untraced runs pay nothing (the labeled-name
 	// construction allocates), and it opens no child spans — the span
 	// tree stays exactly the middleware chain the engine tests pin.

@@ -26,9 +26,6 @@ const taxiSpeedMPS = 4.5
 // paper's collection month.
 var startDate = time.Date(2015, 4, 6, 0, 0, 0, 0, time.UTC)
 
-// StartDate returns the first simulated day (a Monday).
-func StartDate() time.Time { return startDate }
-
 // Workload is the generated taxi log plus the ground truth behind it.
 type Workload struct {
 	Journeys   []trajectory.Journey
