@@ -1,8 +1,8 @@
 // Package cluster implements the clustering algorithms the paper's
 // pipeline and its baselines depend on: DBSCAN (hot-region detection in
 // the ROI baseline, SDBSCAN refinement), OPTICS (Algorithm 4's
-// CounterpartCluster step), K-means (hot-region splitting), and Mean
-// Shift (Splitter's top-down refinement).
+// CounterpartCluster step), and Mean Shift (Splitter's top-down
+// refinement).
 //
 // All algorithms cluster WGS84 points with distances in meters and
 // report results as a label per input point; Noise marks unclustered

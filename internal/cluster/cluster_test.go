@@ -197,70 +197,6 @@ func TestOpticsReachabilityInvariants(t *testing.T) {
 	}
 }
 
-func TestKMeansThreeBlobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pts := threeBlobs(rng)
-	r := KMeans(pts, 3, 50, rng)
-	if r.NumClusters != 3 || len(r.Centers) != 3 {
-		t.Fatalf("KMeans clusters = %d, centers = %d", r.NumClusters, len(r.Centers))
-	}
-	// Each center should be close to one of the true blob centers.
-	pr := geo.NewProjection(origin)
-	truth := []geo.Meters{{X: 0, Y: 0}, {X: 1000, Y: 0}, {X: 0, Y: 1000}}
-	for _, c := range r.Centers {
-		m := pr.ToMeters(c)
-		best := math.Inf(1)
-		for _, tc := range truth {
-			if d := m.Dist(tc); d < best {
-				best = d
-			}
-		}
-		if best > 50 {
-			t.Fatalf("center %v is %.1f m from nearest truth center", c, best)
-		}
-	}
-	if s := Silhouette(pts, r.Result); s < 0.8 {
-		t.Fatalf("silhouette = %.3f, want > 0.8 for separated blobs", s)
-	}
-}
-
-func TestKMeansKLargerThanN(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	pts := blob(rng, 3, 0, 0, 10)
-	r := KMeans(pts, 10, 20, rng)
-	if r.NumClusters != 3 {
-		t.Fatalf("k>n should clamp to n: clusters = %d", r.NumClusters)
-	}
-}
-
-func TestKMeansEmptyAndZeroK(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	if r := KMeans(nil, 3, 10, rng); len(r.Labels) != 0 {
-		t.Error("empty KMeans should return no labels")
-	}
-	pts := []geo.Point{origin, origin}
-	r := KMeans(pts, 0, 10, rng)
-	for _, l := range r.Labels {
-		if l != Noise {
-			t.Error("k=0 should label everything noise")
-		}
-	}
-}
-
-func TestKMeansIdenticalPoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	pts := []geo.Point{origin, origin, origin, origin, origin}
-	r := KMeans(pts, 2, 20, rng)
-	if len(r.Centers) != 2 {
-		t.Fatalf("centers = %d", len(r.Centers))
-	}
-	for _, c := range r.Centers {
-		if geo.Haversine(c, origin) > 1 {
-			t.Fatalf("center %v drifted from the only location", c)
-		}
-	}
-}
-
 func TestMeanShiftThreeBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts := threeBlobs(rng)
@@ -320,15 +256,6 @@ func TestMembersPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSilhouetteDegenerate(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	pts := blob(rng, 20, 0, 0, 10)
-	one := Result{Labels: make([]int, 20), NumClusters: 1}
-	if !math.IsNaN(Silhouette(pts, one)) {
-		t.Error("silhouette of single cluster should be NaN")
 	}
 }
 

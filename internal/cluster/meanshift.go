@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"math"
 
 	"csdm/internal/exec"
 	"csdm/internal/geo"
@@ -111,63 +110,4 @@ func MeanShiftWith(pts []geo.Point, bandwidth float64, opt exec.Options) MeanShi
 		})
 	}
 	return out
-}
-
-// Silhouette returns the mean silhouette coefficient of a clustering, a
-// quality score in [-1, 1]; it skips noise points and returns NaN when
-// fewer than two clusters have members. Used by tests and ablations to
-// sanity-check clustering quality.
-func Silhouette(pts []geo.Point, r Result) float64 {
-	members := r.Members()
-	populated := 0
-	for _, m := range members {
-		if len(m) > 0 {
-			populated++
-		}
-	}
-	if populated < 2 {
-		return math.NaN()
-	}
-	var total float64
-	var count int
-	for i, l := range r.Labels {
-		if l == Noise || len(members[l]) < 2 {
-			continue
-		}
-		a := meanDistTo(pts, i, members[l])
-		b := math.Inf(1)
-		for ol, om := range members {
-			if ol == l || len(om) == 0 {
-				continue
-			}
-			if d := meanDistTo(pts, i, om); d < b {
-				b = d
-			}
-		}
-		den := math.Max(a, b)
-		if den > 0 {
-			total += (b - a) / den
-			count++
-		}
-	}
-	if count == 0 {
-		return math.NaN()
-	}
-	return total / float64(count)
-}
-
-func meanDistTo(pts []geo.Point, i int, members []int) float64 {
-	var sum float64
-	n := 0
-	for _, j := range members {
-		if j == i {
-			continue
-		}
-		sum += geo.Haversine(pts[i], pts[j])
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

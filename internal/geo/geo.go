@@ -99,18 +99,20 @@ func CosLat(lat float64) float64 {
 // HaversineCos is Haversine with both latitudes' cosines supplied by
 // the caller (cosA = CosLat(a.Lat), cosB = CosLat(b.Lat)). It is the one
 // copy of the formula: Haversine calls it, so a caller that passes the
-// same cosines gets the same bits on every architecture.
+// same cosines gets the same bits on every architecture. Its sine and
+// arcsine are this package's sin and asin: math.Sin's and math.Asin's
+// bits, with the small-angle branch every city-scale pair takes inline.
 func HaversineCos(a Point, cosA float64, b Point, cosB float64) float64 {
 	dLat := (b.Lat - a.Lat) * math.Pi / 180
 	dLon := (b.Lon - a.Lon) * math.Pi / 180
 
-	sinLat := math.Sin(dLat / 2)
-	sinLon := math.Sin(dLon / 2)
+	sinLat := sin(dLat / 2)
+	sinLon := sin(dLon / 2)
 	h := sinLat*sinLat + cosA*cosB*sinLon*sinLon
 	if h > 1 {
 		h = 1
 	}
-	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(h))
+	return 2 * EarthRadiusMeters * asin(math.Sqrt(h))
 }
 
 // Meters is a point in a local planar coordinate system, in meters.

@@ -208,3 +208,32 @@ func TestWeightSumInto(t *testing.T) {
 		t.Fatalf("WeightSumInto %v != per-pair loop %v", full, loop)
 	}
 }
+
+// BenchmarkWeightSumInto times the Eq. 2 kernel sum on its hot shape:
+// one center and 1 000 packed stays inside its 100 m R3σ disc, summed
+// in ascending id order. One op is 1 000 Haversine + exp pairs.
+func BenchmarkWeightSumInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(53))
+	center := Point{Lon: 121.47, Lat: 31.23}
+	pr := NewProjection(center)
+	pts := make([]Point, 1000)
+	for i := range pts {
+		r := 100 * math.Sqrt(rng.Float64())
+		a := 2 * math.Pi * rng.Float64()
+		pts[i] = pr.ToPoint(Meters{X: r * math.Cos(a), Y: r * math.Sin(a)})
+	}
+	pp := Pack(pts)
+	ids := make([]int, len(pts))
+	for i := range ids {
+		ids[i] = i
+	}
+	k := NewGaussianKernel(100)
+	b.ResetTimer()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		sum = k.WeightSumInto(sum, center, pp, ids)
+	}
+	if sum <= 0 {
+		b.Fatal("kernel sum is not positive")
+	}
+}

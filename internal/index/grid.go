@@ -179,6 +179,9 @@ func (g *Grid) within(t *cellTable, center geo.Point, radius float64, buf []int,
 	if g.pp.Len() == 0 || radius < 0 {
 		return buf
 	}
+	// Exact tests read each point's latitude cosine from the packed Cos
+	// column and take the center's once, the same bits as Haversine.
+	cosC := geo.CosLat(center.Lat)
 	// The planar fast path needs a sound distortion band for the built
 	// extent and this query; when none exists (hull touches a pole, or
 	// the radius is continent-scale relative to the hull latitudes) the
@@ -189,7 +192,7 @@ func (g *Grid) within(t *cellTable, center geo.Point, radius float64, buf []int,
 			if t.keep != nil && !t.keep[id] {
 				continue
 			}
-			if geo.Haversine(center, g.pp.At(id)) <= radius {
+			if geo.HaversineCos(center, cosC, g.pp.At(id), g.pp.Cos[id]) <= radius {
 				buf = append(buf, id)
 			}
 		}
@@ -222,7 +225,7 @@ func (g *Grid) within(t *cellTable, center geo.Point, radius float64, buf []int,
 			return append(out, id)
 		case d > rHi:
 			return out
-		case geo.Haversine(center, g.pp.At(id)) <= radius:
+		case geo.HaversineCos(center, cosC, g.pp.At(id), g.pp.Cos[id]) <= radius:
 			return append(out, id)
 		}
 		return out
