@@ -8,7 +8,6 @@ import (
 
 	"csdm/internal/ckpt"
 	"csdm/internal/core"
-	"csdm/internal/geo"
 	"csdm/internal/load"
 	"csdm/internal/trajectory"
 )
@@ -69,10 +68,7 @@ func runIngest(pipe *core.Pipeline, mgr *ckpt.Manager, streamPath string, batchJ
 		if hi > len(stream) {
 			hi = len(stream)
 		}
-		batch := make([]geo.Point, 0, 2*(hi-lo))
-		for _, j := range stream[lo:hi] {
-			batch = append(batch, j.Pickup, j.Dropoff)
-		}
+		batch := core.Stays(stream[lo:hi])
 		bt := time.Now()
 		d, st, err := pipe.IngestBatch(ctx, batch)
 		if err != nil {

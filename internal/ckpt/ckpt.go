@@ -16,9 +16,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"csdm/internal/csd"
 	"csdm/internal/obs"
-	"csdm/internal/trajectory"
 )
 
 // The checkpoint file names inside a manager's directory. The diagram
@@ -132,40 +130,4 @@ func (m *Manager) Save(stage, file string, write func(io.Writer) error) error {
 	}
 	m.tr.Add("ckpt.saved."+stage, 1)
 	return nil
-}
-
-// LoadDiagram returns the checkpointed City Semantic Diagram, or false
-// when none is available (absent or corrupt).
-func (m *Manager) LoadDiagram() (*csd.Diagram, bool) {
-	var d *csd.Diagram
-	ok := m.Load("diagram", DiagramFile, func(r io.Reader) error {
-		var err error
-		d, err = csd.Read(r)
-		return err
-	})
-	return d, ok
-}
-
-// SaveDiagram checkpoints the diagram.
-func (m *Manager) SaveDiagram(d *csd.Diagram) error {
-	return m.Save("diagram", DiagramFile, d.Write)
-}
-
-// LoadDatabase returns the checkpointed annotated database under the
-// given name ("db-csd", "db-roi"), or false when none is available.
-func (m *Manager) LoadDatabase(name string) ([]trajectory.SemanticTrajectory, bool) {
-	var db []trajectory.SemanticTrajectory
-	ok := m.Load(name, DBFile(name), func(r io.Reader) error {
-		var err error
-		db, err = trajectory.ReadSemanticJSON(r)
-		return err
-	})
-	return db, ok
-}
-
-// SaveDatabase checkpoints an annotated database under the given name.
-func (m *Manager) SaveDatabase(name string, db []trajectory.SemanticTrajectory) error {
-	return m.Save(name, DBFile(name), func(w io.Writer) error {
-		return trajectory.WriteSemanticJSON(w, db)
-	})
 }

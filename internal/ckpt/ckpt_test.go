@@ -50,6 +50,38 @@ func testDB() []trajectory.SemanticTrajectory {
 	}}
 }
 
+// The helpers below checkpoint the diagram and a database through
+// Load/Save with the codecs the pipeline's stages use: the framed
+// csd.Read/Write and the semantic-trajectory JSON exchange format.
+
+func saveDiagram(m *Manager, d *csd.Diagram) error {
+	return m.Save("diagram", DiagramFile, d.Write)
+}
+
+func loadDiagram(m *Manager) (*csd.Diagram, bool) {
+	var d *csd.Diagram
+	ok := m.Load("diagram", DiagramFile, func(r io.Reader) (err error) {
+		d, err = csd.Read(r)
+		return err
+	})
+	return d, ok
+}
+
+func saveDatabase(m *Manager, name string, db []trajectory.SemanticTrajectory) error {
+	return m.Save(name, DBFile(name), func(w io.Writer) error {
+		return trajectory.WriteSemanticJSON(w, db)
+	})
+}
+
+func loadDatabase(m *Manager, name string) ([]trajectory.SemanticTrajectory, bool) {
+	var db []trajectory.SemanticTrajectory
+	ok := m.Load(name, DBFile(name), func(r io.Reader) (err error) {
+		db, err = trajectory.ReadSemanticJSON(r)
+		return err
+	})
+	return db, ok
+}
+
 func TestManagerRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	tr := obs.New()
@@ -59,10 +91,10 @@ func TestManagerRoundTrip(t *testing.T) {
 	}
 	d := testDiagram(t)
 	db := testDB()
-	if err := m.SaveDiagram(d); err != nil {
+	if err := saveDiagram(m, d); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SaveDatabase("db-csd", db); err != nil {
+	if err := saveDatabase(m, "db-csd", db); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.Counter("ckpt.saved.diagram"); got != 1 {
@@ -75,7 +107,7 @@ func TestManagerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, ok := m2.LoadDiagram()
+	d2, ok := loadDiagram(m2)
 	if !ok {
 		t.Fatal("diagram checkpoint not found on rerun")
 	}
@@ -89,7 +121,7 @@ func TestManagerRoundTrip(t *testing.T) {
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Error("resumed diagram serializes differently")
 	}
-	db2, ok := m2.LoadDatabase("db-csd")
+	db2, ok := loadDatabase(m2, "db-csd")
 	if !ok || !reflect.DeepEqual(db, db2) {
 		t.Fatalf("resumed database mismatch (ok=%v)", ok)
 	}
@@ -104,10 +136,10 @@ func TestManagerMissingIsAbsentNotError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.LoadDiagram(); ok {
+	if _, ok := loadDiagram(m); ok {
 		t.Error("empty dir produced a diagram")
 	}
-	if _, ok := m.LoadDatabase("db-roi"); ok {
+	if _, ok := loadDatabase(m, "db-roi"); ok {
 		t.Error("empty dir produced a database")
 	}
 }
@@ -123,7 +155,7 @@ func TestManagerCorruptCheckpointRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := testDiagram(t)
-	if err := m.SaveDiagram(d); err != nil {
+	if err := saveDiagram(m, d); err != nil {
 		t.Fatal(err)
 	}
 	// Truncate the checkpoint to half its size: the CRC frame must
@@ -136,7 +168,7 @@ func TestManagerCorruptCheckpointRebuilds(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.LoadDiagram(); ok {
+	if _, ok := loadDiagram(m); ok {
 		t.Fatal("truncated checkpoint loaded")
 	}
 	if got := tr.Counter("ckpt.corrupt.diagram"); got != 1 {
@@ -146,10 +178,10 @@ func TestManagerCorruptCheckpointRebuilds(t *testing.T) {
 		t.Error("corrupt checkpoint not removed")
 	}
 	// The stage rebuilds and re-checkpoints over the damage.
-	if err := m.SaveDiagram(d); err != nil {
+	if err := saveDiagram(m, d); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.LoadDiagram(); !ok {
+	if _, ok := loadDiagram(m); !ok {
 		t.Fatal("re-saved checkpoint does not load")
 	}
 
@@ -157,7 +189,7 @@ func TestManagerCorruptCheckpointRebuilds(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "db-csd.json"), []byte("[{\"id\":1,"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.LoadDatabase("db-csd"); ok {
+	if _, ok := loadDatabase(m, "db-csd"); ok {
 		t.Fatal("truncated database loaded")
 	}
 	if got := tr.Counter("ckpt.corrupt.db-csd"); got != 1 {
@@ -205,16 +237,16 @@ func TestNilManager(t *testing.T) {
 	if m.Dir() != "" {
 		t.Error("nil manager has a dir")
 	}
-	if _, ok := m.LoadDiagram(); ok {
+	if _, ok := loadDiagram(m); ok {
 		t.Error("nil manager loaded a diagram")
 	}
-	if _, ok := m.LoadDatabase("db-csd"); ok {
+	if _, ok := loadDatabase(m, "db-csd"); ok {
 		t.Error("nil manager loaded a database")
 	}
-	if err := m.SaveDiagram(nil); err != nil {
-		t.Errorf("nil manager SaveDiagram: %v", err)
+	if err := saveDiagram(m, nil); err != nil {
+		t.Errorf("nil manager saved a diagram: %v", err)
 	}
-	if err := m.SaveDatabase("db-csd", nil); err != nil {
-		t.Errorf("nil manager SaveDatabase: %v", err)
+	if err := saveDatabase(m, "db-csd", nil); err != nil {
+		t.Errorf("nil manager saved a database: %v", err)
 	}
 }

@@ -138,27 +138,6 @@ func TestOpticsExtractMatchesDBSCANOnBlobs(t *testing.T) {
 	}
 }
 
-func TestOpticsExtractAutoSeparatesBlobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pts := threeBlobs(rng)
-	r := Optics(pts, 2000, 5).ExtractAuto()
-	if r.NumClusters != 3 {
-		t.Fatalf("ExtractAuto clusters = %d, want 3", r.NumClusters)
-	}
-	if sameCluster(r, 0, 50) {
-		t.Error("ExtractAuto merged separate blobs")
-	}
-}
-
-func TestOpticsSingleBlobAuto(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := blob(rng, 60, 0, 0, 20)
-	r := Optics(pts, 500, 5).ExtractAuto()
-	if r.NumClusters != 1 {
-		t.Fatalf("single blob ExtractAuto clusters = %d, want 1", r.NumClusters)
-	}
-}
-
 func TestOpticsEmptyAndTiny(t *testing.T) {
 	if o := Optics(nil, 100, 5); len(o.Order) != 0 {
 		t.Error("empty OPTICS should have empty order")
@@ -167,10 +146,6 @@ func TestOpticsEmptyAndTiny(t *testing.T) {
 	o := Optics(pts, 100, 5)
 	if len(o.Order) != 1 {
 		t.Fatalf("one-point OPTICS order = %v", o.Order)
-	}
-	r := o.ExtractAuto()
-	if r.NumClusters != 0 || r.Labels[0] != Noise {
-		t.Errorf("one point below minPts should be noise, got %+v", r)
 	}
 }
 

@@ -161,40 +161,6 @@ func (o *OpticsResult) ExtractDBSCAN(eps float64) Result {
 	return Result{Labels: labels, NumClusters: cluster + 1}
 }
 
-// ExtractAuto chooses a cut threshold from the reachability plot itself —
-// the paper's "optimal distance threshold with sufficiently high density"
-// — and extracts clusters at it. The threshold is placed at the largest
-// relative gap in the sorted finite reachability values (the knee that
-// separates intra-cluster from inter-cluster reachabilities); when the
-// plot has no meaningful gap the generating maxEps is used.
-func (o *OpticsResult) ExtractAuto() Result {
-	var finite []float64
-	for _, r := range o.Reach {
-		if !math.IsInf(r, 1) {
-			finite = append(finite, r)
-		}
-	}
-	if len(finite) < 2 {
-		return o.ExtractDBSCAN(o.maxEps)
-	}
-	sort.Float64s(finite)
-	// Search for the biggest multiplicative jump in the upper half of the
-	// plot; cuts in the lower half would shatter genuine clusters.
-	cut := o.maxEps
-	bestRatio := 1.5 // require a clear gap before trusting it
-	for i := len(finite) / 2; i+1 < len(finite); i++ {
-		lo, hi := finite[i], finite[i+1]
-		if lo <= 0 {
-			continue
-		}
-		if ratio := hi / lo; ratio > bestRatio {
-			bestRatio = ratio
-			cut = (lo + hi) / 2
-		}
-	}
-	return o.ExtractDBSCAN(cut)
-}
-
 // ExtractLeaves extracts clusters with a per-cluster distance threshold
 // — §4.3's "optimal distance threshold with sufficiently high density
 // for each cluster". The reachability plot is split recursively at its

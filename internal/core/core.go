@@ -210,7 +210,6 @@ func (p *Pipeline) Trace() *obs.Trace { return p.trace }
 // artifacts are neither re-loaded nor saved.
 func (p *Pipeline) SetCheckpoints(s stage.Store) { p.store = s }
 
-// NewPipeline prepares a pipeline over the given POI dataset and taxi
 // Stays derives the stay-point sequence from a journey log: pickup
 // then dropoff per journey, in journey order. This ordering IS the
 // canonical global stay-id assignment every bit-identity argument in
@@ -225,6 +224,7 @@ func Stays(journeys []trajectory.Journey) []geo.Point {
 	return out
 }
 
+// NewPipeline prepares a pipeline over the given POI dataset and taxi
 // journey log, declaring the shared-artifact stage graph:
 //
 //	stays → csd.build → recognize.CSD

@@ -218,39 +218,68 @@ func Popularity(pois []poi.POI, stays []geo.Point, kernel geo.GaussianKernel) []
 	return pop
 }
 
-// popularity is the execution-layer core of Popularity: each POI's
-// kernel sum is independent, so the loop fans out over the worker pool.
-// pop[i] is geo.WeightSumInto over the stay ids WithinSortedAppend
-// returns, so it is accumulated in ascending stay-id order regardless
-// of the worker count or the index backend, and the sums are
-// bit-identical across budgets AND across spatial backends — and, since
-// stay points are only ever appended, a later delta batch continues
-// each POI's float-addition chain exactly where the full build left it
-// (the Maintainer's incremental update depends on this canonical
-// order). Each worker slot borrows one range-query buffer from the
-// cross-stage arena pool — the sums depend only on the query results,
-// never on leftover buffer contents, so reuse within and across stage
-// invocations cannot perturb determinism.
+// popularity is the execution-layer core of Popularity: every POI's sum
+// starts at zero and folds in all the stays.
 func popularity(ctx context.Context, pois []poi.POI, stays []geo.Point, kernel geo.GaussianKernel, opt exec.Options) ([]float64, error) {
 	pop := make([]float64, len(pois))
-	if len(stays) == 0 {
-		return pop, nil
-	}
-	pp := geo.Pack(stays)
-	stayIdx := index.NewPacked(opt.Index, pp, kernel.Radius())
-	arenas := opt.AcquireArenas(exec.Slots(opt.Workers, len(pois)))
-	err := exec.ParallelForSlots(ctx, opt.Workers, len(pois), func(slot, i int) error {
-		loc := pois[i].Location
-		buf := stayIdx.WithinSortedAppend(loc, kernel.Radius(), arenas[slot].Ints[:0])
-		arenas[slot].Ints = buf
-		pop[i] = kernel.WeightSumInto(0, loc, pp, buf)
-		return nil
-	})
-	opt.ReleaseArenas(arenas)
-	if err != nil {
+	if err := FoldPopularity(ctx, opt, kernel, poi.Locations(pois), geo.Pack(stays), pop, nil); err != nil {
 		return nil, err
 	}
 	return pop, nil
+}
+
+// FoldPopularity is the one popularity loop of Equations (2)–(3): it
+// adds to pop[i] the kernel weight of every stay in pp within R3σ of
+// locs[i], and, when touched is non-nil, sets touched[i] if there was
+// one. The full build folds all stays into zero sums, the Maintainer's
+// delta folds a batch into a copy of the running sums, and a shard tile
+// folds its halo stays into its owned POIs' sums.
+//
+// Each pop[i] takes its weights in ascending stay order:
+// WithinSortedAppend returns the in-range ids ascending on every index
+// backend, and WeightSumInto adds them one at a time. So the sums are
+// bit-identical for any worker count and backend, and, because float
+// addition does not associate, the order is also what keeps the other
+// two callers exact. A delta batch's stays follow every earlier stay,
+// so folding it into the running sums continues each chain where a full
+// build over the union would; pre-summing the batch and adding once
+// would round differently. A shard's halo stays come in ascending
+// global id order, so a tile's fold is the full build's chain term for
+// term.
+//
+// The loop fans out on opt's pool with one query buffer per worker slot
+// from opt's arenas; a sum never depends on a buffer's leftover
+// contents. With one slot it runs inline as the caller's own loop, not
+// as pool tasks, so a shard tile (itself one task of the shard fan-out)
+// adds nothing to the pool's task count or its exec.task fault site.
+func FoldPopularity(ctx context.Context, opt exec.Options, kernel geo.GaussianKernel, locs []geo.Point, pp *geo.PackedPoints, pop []float64, touched []bool) error {
+	if pp.Len() == 0 {
+		return nil
+	}
+	idx := index.NewPacked(opt.Index, pp, kernel.Radius())
+	arenas := opt.AcquireArenas(exec.Slots(opt.Workers, len(locs)))
+	defer opt.ReleaseArenas(arenas)
+	fold := func(slot, i int) error {
+		buf := idx.WithinSortedAppend(locs[i], kernel.Radius(), arenas[slot].Ints[:0])
+		arenas[slot].Ints = buf
+		if len(buf) > 0 {
+			pop[i] = kernel.WeightSumInto(pop[i], locs[i], pp, buf)
+			if touched != nil {
+				touched[i] = true
+			}
+		}
+		return nil
+	}
+	if len(arenas) > 1 {
+		return exec.ParallelForSlots(ctx, opt.Workers, len(locs), fold)
+	}
+	for i := range locs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		fold(0, i)
+	}
+	return nil
 }
 
 // popRatioOK implements line 5 of Algorithm 1: both popularity ratios

@@ -1,7 +1,6 @@
 package csd
 
 import (
-	"csdm/internal/exec"
 	"csdm/internal/geo"
 	"csdm/internal/index"
 	"csdm/internal/poi"
@@ -19,10 +18,9 @@ import (
 // The incremental result is bit-identical to a full Build on the union
 // of all stay points, by construction rather than approximation:
 //
-//   - Popularity (Eq. 2–3) is a kernel sum accumulated in canonical
-//     ascending stay-id order; new stays only ever append ids, so a
-//     delta batch continues each POI's float-addition chain exactly
-//     where the full build's loop would have (geo.WeightSumInto).
+//   - Popularity (Eq. 2–3): new stays only ever append ids, so
+//     FoldPopularity folds a batch into the running sums exactly as a
+//     full build over the union would.
 //   - Algorithm 1 factorizes exactly over the ε_p-connected components
 //     of the static POI graph: cluster growth only follows ≤ ε_p edges,
 //     so re-running growClusters on one component reproduces the full
@@ -49,10 +47,9 @@ type Maintainer struct {
 	pois   []poi.POI
 	kernel geo.GaussianKernel
 
-	// stays is the append-only union stay-point store. No index is ever
-	// built over it (delta batches index only themselves), so growth is
-	// always safe.
-	stays *geo.PackedPoints
+	// stays counts the stay points seen so far; delta batches index
+	// only themselves, so no stay is kept.
+	stays int
 	// pop is the current canonical-order popularity. Diagrams share its
 	// backing array: the maintainer never mutates it in place (every
 	// delta copies first), so served generations stay immutable.
@@ -100,7 +97,7 @@ func NewMaintainer(pois []poi.POI, stays []geo.Point, params Params) (*Maintaine
 func NewMaintainerEnv(env stage.Env, pois []poi.POI, stays []geo.Point, params Params) (*Maintainer, error) {
 	root := env.StartSpan("csd.maintain")
 	defer root.End()
-	m := &Maintainer{params: params, kind: env.Opt.Index, pois: pois, stays: geo.Pack(stays)}
+	m := &Maintainer{params: params, kind: env.Opt.Index, pois: pois, stays: len(stays)}
 	d, err := build(env, root, pois, stays, params, &m.cache)
 	if err != nil {
 		return nil, err
@@ -130,7 +127,7 @@ func (m *Maintainer) SetGeneration(gen int64) {
 }
 
 // StayCount returns the number of stay points accumulated so far.
-func (m *Maintainer) StayCount() int { return m.stays.Len() }
+func (m *Maintainer) StayCount() int { return m.stays }
 
 // ApplyDelta applies one batch of new stay points and returns the next
 // generation's diagram: delta popularity over the batch only, α-flip
@@ -149,33 +146,14 @@ func (m *Maintainer) ApplyDelta(env stage.Env, batch []geo.Point) (*Diagram, Del
 	defer root.End()
 	st := DeltaStats{BatchStays: len(batch)}
 
-	// Delta popularity: index the batch alone, and fold each affected
-	// POI's new weights into its running sum in ascending id order —
-	// batch-local ascending equals global ascending, because the batch's
-	// ids all follow every existing stay's.
+	// Delta popularity: fold the batch alone into a copy of the
+	// running sums.
 	sp := root.Start("delta.popularity")
 	newPop := append([]float64(nil), m.pop...)
-	batchPP := geo.Pack(batch)
 	touched := make([]bool, len(m.pois))
-	if len(batch) > 0 {
-		batchIdx := index.NewPacked(opt.Index, batchPP, m.kernel.Radius())
-		arenas := opt.AcquireArenas(exec.Slots(opt.Workers, len(m.pois)))
-		err := exec.ParallelForSlots(ctx, opt.Workers, len(m.pois), func(slot, i int) error {
-			loc := m.pois[i].Location
-			buf := batchIdx.WithinSortedAppend(loc, m.kernel.Radius(), arenas[slot].Ints[:0])
-			arenas[slot].Ints = buf
-			if len(buf) == 0 {
-				return nil
-			}
-			newPop[i] = m.kernel.WeightSumInto(newPop[i], loc, batchPP, buf)
-			touched[i] = true
-			return nil
-		})
-		opt.ReleaseArenas(arenas)
-		if err != nil {
-			sp.End()
-			return nil, st, err
-		}
+	if err := FoldPopularity(ctx, opt, m.kernel, poi.Locations(m.pois), geo.Pack(batch), newPop, touched); err != nil {
+		sp.End()
+		return nil, st, err
 	}
 	var affected []int
 	for i, t := range touched {
@@ -250,7 +228,7 @@ func (m *Maintainer) ApplyDelta(env stage.Env, batch []geo.Point) (*Diagram, Del
 	}
 	tr.Add("csd.delta.dirty_units", int64(st.DirtyUnits))
 
-	m.stays.Append(batch)
+	m.stays += len(batch)
 	m.pop, m.cache, m.diagram, m.gen = newPop, view, d, d.Generation
 	st.Generation = m.gen
 	tr.Add("csd.delta.applied", 1)

@@ -43,14 +43,10 @@ func (k GaussianKernel) WeightDist(d float64) float64 {
 
 // WeightSumInto folds the kernel weights between center and the
 // identified packed points into acc, one addition per id in the ids'
-// order, and returns the new accumulator. It is the one kernel sum of
-// Equations (2)–(3): the full popularity build, the maintainer's delta
-// and the sharded tile loop all call it with ascending ids. The
-// incremental popularity update is bit-identical to a full rebuild only
-// because of this shape: float addition is non-associative, so each new
-// stay's weight must join the POI's running sum exactly where a full
-// rebuild's canonical ascending-id loop would have added it —
-// pre-summing the batch and adding once would round differently.
+// order, and returns the new accumulator. It is the kernel sum of
+// Equations (2)–(3). Its one caller, csd.FoldPopularity, passes
+// ascending stay ids and states why that order keeps every popularity
+// path bit-identical.
 //
 // The center's latitude cosine is taken once per call and each point's
 // comes from the store's Cos column, so a pair costs one HaversineCos

@@ -60,8 +60,7 @@ func (pp *PackedPoints) Len() int { return len(pp.Lon) }
 // the grown set at the same origin). Growth never disturbs an index
 // built earlier over the store: the index aliases slice headers whose
 // length predates the append, so it keeps answering over exactly the
-// first Len-at-build points. The incremental CSD maintainer leans on both properties —
-// stay points only ever gain ids, never move or reorder.
+// first Len-at-build points.
 func (pp *PackedPoints) Append(pts []Point) {
 	for _, p := range pts {
 		pp.AppendPoint(p)

@@ -355,11 +355,12 @@ func (g *Grid) Nearest(q geo.Point, k int) []int {
 	qy = clamp(qy, 0, g.rows-1)
 
 	h := make(maxHeap, 0, k+1)
+	cosQ := geo.CosLat(q.Lat)
 	// A sparse grid's occupied cells can be a vanishing fraction of the
 	// ring area; a linear scan is then both simpler and faster.
 	if g.sparse != nil {
 		for id := 0; id < g.pp.Len(); id++ {
-			h.offer(heapItem{id: id, dist: geo.Haversine(q, g.pp.At(id))}, k)
+			h.offer(heapItem{id: id, dist: geo.HaversineCos(q, cosQ, g.pp.At(id), g.pp.Cos[id])}, k)
 		}
 		return h.sortedIDs()
 	}
@@ -379,7 +380,7 @@ func (g *Grid) Nearest(q geo.Point, k int) []int {
 			}
 		}
 		g.visitRing(qx, qy, ring, func(id int) {
-			h.offer(heapItem{id: id, dist: geo.Haversine(q, g.pp.At(id))}, k)
+			h.offer(heapItem{id: id, dist: geo.HaversineCos(q, cosQ, g.pp.At(id), g.pp.Cos[id])}, k)
 		})
 	}
 	return h.sortedIDs()

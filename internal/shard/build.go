@@ -10,7 +10,6 @@ import (
 	"csdm/internal/csd"
 	"csdm/internal/exec"
 	"csdm/internal/geo"
-	"csdm/internal/index"
 	"csdm/internal/poi"
 	"csdm/internal/stage"
 )
@@ -123,8 +122,10 @@ func Build(env stage.Env, pois []poi.POI, src StaySource, cfg Config) (*csd.Diag
 		// expansion restores the guarantee that every owned POI's full
 		// R3σ support is inside the load window.
 		load := tile.Rect
-		for _, pi := range own {
-			load = load.Extend(pois[pi].Location)
+		locs := make([]geo.Point, len(own))
+		for k, pi := range own {
+			locs[k] = pois[pi].Location
+			load = load.Extend(locs[k])
 		}
 		load = load.ExpandMeters(plan.HaloMeters + haloSlackMeters)
 		cells[tile.ID] = stage.Add(g, stage.Decl{
@@ -142,25 +143,9 @@ func Build(env stage.Env, pois []poi.POI, src StaySource, cfg Config) (*csd.Diag
 				return sp, err
 			}
 			sp.Stays = pp.Len()
-			if pp.Len() == 0 {
-				return sp, nil
-			}
-			idx := index.NewPacked(senv.Opt.Index, pp, kernel.Radius())
-			var buf []int
-			for k, pi := range own {
-				if err := senv.Ctx.Err(); err != nil {
-					return sp, err
-				}
-				loc := pois[pi].Location
-				// Local ascending positions are ascending global stay
-				// ids (LoadRect's contract), and every backend
-				// classifies membership by exact Haversine — so this
-				// sum is the monolithic popularity loop's
-				// float-addition chain, term for term.
-				buf = idx.WithinSortedAppend(loc, kernel.Radius(), buf[:0])
-				sp.Pop[k] = kernel.WeightSumInto(0, loc, pp, buf)
-			}
-			return sp, nil
+			opt := senv.Opt
+			opt.Workers = 1 // the shard grid is the parallel axis
+			return sp, csd.FoldPopularity(senv.Ctx, opt, kernel, locs, pp, sp.Pop, nil)
 		}).Checkpoint(stage.Codec[shardPop]{
 			Encode: func(w io.Writer, sp shardPop) error { return json.NewEncoder(w).Encode(sp) },
 			Decode: func(r io.Reader) (shardPop, error) { return decodeShardPop(r, tile.ID, own, totalStays) },
