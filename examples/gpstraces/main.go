@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -54,7 +55,9 @@ func main() {
 	// recognize every stay (semantic absence resolved).
 	miner := csdm.NewMiner(city.POIs, workload.Journeys, csdm.DefaultConfig())
 	rec := recognize.NewCSDRecognizer(miner.Diagram())
-	recognize.Annotate(db, rec)
+	if err := recognize.AnnotateCtx(context.Background(), db, rec, 0); err != nil {
+		log.Fatal(err)
+	}
 	annotated := 0
 	for _, st := range db {
 		for _, sp := range st.Stays {

@@ -436,9 +436,8 @@ func TestExtractLeavesLabelsAreConsistent(t *testing.T) {
 }
 
 // TestOpticsParallelDeterminism pins the OPTICS ordering, reachability
-// plot and core distances as bit-identical for any worker budget (and
-// with or without an arena pool attached), because the mined pattern
-// set downstream is gated on exact equality.
+// plot and core distances as bit-identical for any worker budget,
+// because the mined pattern set downstream is gated on exact equality.
 func TestOpticsParallelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts := threeBlobs(rng)
@@ -447,8 +446,8 @@ func TestOpticsParallelDeterminism(t *testing.T) {
 	ref := OpticsWith(pts, 300, 5, exec.Options{Workers: 1})
 	for _, opt := range []exec.Options{
 		{Workers: 8},
-		{Workers: 3, Arenas: exec.NewArenaPool()},
-		{Workers: 8, Arenas: exec.NewArenaPool()},
+		{Workers: 3},
+		{Workers: 8},
 	} {
 		got := OpticsWith(pts, 300, 5, opt)
 		if len(got.Order) != len(ref.Order) {
@@ -469,9 +468,8 @@ func TestOpticsParallelDeterminism(t *testing.T) {
 		}
 	}
 
-	// Arena reuse across invocations must not leak state between runs.
-	pool := exec.NewArenaPool()
-	opt := exec.Options{Workers: 4, Arenas: pool}
+	// Repeated runs must not leak state between invocations.
+	opt := exec.Options{Workers: 4}
 	for run := 0; run < 3; run++ {
 		got := OpticsWith(pts, 300, 5, opt)
 		for i := range ref.Reach {

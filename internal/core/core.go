@@ -171,12 +171,6 @@ type Pipeline struct {
 	pois     []poi.POI
 	journeys []trajectory.Journey
 
-	// arenas is the pipeline-lifetime scratch pool every stage shares
-	// (via exec.Options.Arenas on stage.Env): parallel regions check
-	// per-slot arenas out of it, so scratch buffers grown by one stage
-	// invocation are reused by the next instead of reallocated.
-	arenas *exec.ArenaPool
-
 	// trace is the optional telemetry sink (nil-safe no-op when absent).
 	trace *obs.Trace
 	// store is the optional checkpoint store (nil disables resume/save).
@@ -233,15 +227,13 @@ func Stays(journeys []trajectory.Journey) []geo.Point {
 // with the six per-approach extractions running as one-shot stages on
 // top (MineCtx / MineAllCtx).
 func NewPipeline(pois []poi.POI, journeys []trajectory.Journey, cfg Config) *Pipeline {
-	p := &Pipeline{cfg: cfg, pois: pois, journeys: journeys, arenas: exec.NewArenaPool()}
+	p := &Pipeline{cfg: cfg, pois: pois, journeys: journeys}
 	// The config closure is re-read on every stage run, so SetTrace and
 	// SetCheckpoints may be wired after construction.
 	p.graph = stage.NewGraph(func() stage.Config {
-		opt := p.cfg.ExecOptions()
-		opt.Arenas = p.arenas
 		return stage.Config{
 			Trace:         p.trace,
-			Opt:           opt,
+			Opt:           p.cfg.ExecOptions(),
 			StageTimeout:  p.cfg.StageTimeout,
 			Store:         p.store,
 			CounterPrefix: "core.stage",
@@ -478,20 +470,10 @@ func (p *Pipeline) extract(ctx context.Context, a Approach, db []trajectory.Sema
 // approach whose database fails falls back to the ROI database
 // (counted as core.approach.degraded), same as in MineAllCtx.
 func (p *Pipeline) MineCtx(ctx context.Context, a Approach, params pattern.Params) ([]pattern.Pattern, error) {
-	db, err := p.DatabaseCtx(ctx, a.Recognizer)
-	if err != nil && a.Recognizer == RecCSD && p.cfg.DegradedFallback && ctx.Err() == nil {
-		if roiDB, roiErr := p.DatabaseCtx(ctx, RecROI); roiErr == nil {
-			p.trace.Add("core.approach.degraded", 1)
-			if p.trace != nil {
-				p.trace.Add(obs.Label("csdm_mine_degraded_total", "approach", a.String()), 1)
-			}
-			db, err = roiDB, nil
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return p.extract(ctx, a, db, params)
+	res := p.mineOne(ctx, a, params, func(kind RecognizerKind) ([]trajectory.SemanticTrajectory, error) {
+		return p.DatabaseCtx(ctx, kind)
+	})
+	return res.Patterns, res.Err
 }
 
 // ApproachResult pairs an approach with its mined patterns. Since a
@@ -524,15 +506,6 @@ func (p *Pipeline) MineAll(params pattern.Params) map[string][]pattern.Pattern {
 	return out
 }
 
-// shared is the per-MineAll snapshot of the two annotated databases.
-// Building them exactly once up front keeps the fan-out from racing on
-// the stage cells and — deliberately — from retrying a failed build six
-// times: within one MineAll, a database either exists or is failed.
-type shared struct {
-	db  map[RecognizerKind][]trajectory.SemanticTrajectory
-	err map[RecognizerKind]error
-}
-
 // MineAllCtx runs all six approaches under the shared worker budget:
 // the shared recognition artifacts are built first, then the six
 // extractions fan out over the engine (stage.RunEach) and the results
@@ -545,15 +518,20 @@ type shared struct {
 // The returned error is non-nil only when the run's own context is
 // canceled — the one failure that genuinely applies to every approach.
 func (p *Pipeline) MineAllCtx(ctx context.Context, params pattern.Params) ([]ApproachResult, error) {
-	sh := shared{
-		db:  make(map[RecognizerKind][]trajectory.SemanticTrajectory),
-		err: make(map[RecognizerKind]error),
-	}
+	// A snapshot of the two annotated databases. Building them exactly
+	// once up front keeps the fan-out from racing on the stage cells
+	// and — deliberately — from retrying a failed build six times:
+	// within one MineAll, a database either exists or is failed.
+	dbs := make(map[RecognizerKind][]trajectory.SemanticTrajectory)
+	errs := make(map[RecognizerKind]error)
 	for _, kind := range []RecognizerKind{RecCSD, RecROI} {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sh.db[kind], sh.err[kind] = p.DatabaseCtx(ctx, kind)
+		dbs[kind], errs[kind] = p.DatabaseCtx(ctx, kind)
+	}
+	snapshot := func(kind RecognizerKind) ([]trajectory.SemanticTrajectory, error) {
+		return dbs[kind], errs[kind]
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -563,7 +541,7 @@ func (p *Pipeline) MineAllCtx(ctx context.Context, params pattern.Params) ([]App
 	p.trace.SetGauge("index.backend", float64(opt.Index))
 	exec.Note(p.trace, len(as), exec.Workers(opt.Workers))
 	slots := stage.RunEach(p.graph, ctx, len(as), func(i int, _ stage.Env) (ApproachResult, error) {
-		return p.mineOne(ctx, as[i], params, sh), nil
+		return p.mineOne(ctx, as[i], params, snapshot), nil
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -590,27 +568,31 @@ func (p *Pipeline) MineAllCtx(ctx context.Context, params pattern.Params) ([]App
 	return out, nil
 }
 
-// mineOne runs one approach inside a MineAll fan-out. Errors land in
-// the result's Err (panic isolation is the engine's job — stage.RunEach
-// recovers a panicking slot into its own *exec.PanicError).
-func (p *Pipeline) mineOne(ctx context.Context, a Approach, params pattern.Params, sh shared) ApproachResult {
+// mineOne runs one approach on the database that database returns for
+// its recognizer: MineCtx builds it on demand, a MineAll fan-out reads
+// its snapshot. Errors land in the result's Err (panic isolation
+// is the engine's job — stage.RunEach recovers a panicking slot into
+// its own *exec.PanicError).
+func (p *Pipeline) mineOne(ctx context.Context, a Approach, params pattern.Params, database func(RecognizerKind) ([]trajectory.SemanticTrajectory, error)) ApproachResult {
 	res := ApproachResult{Approach: a}
-	kind := a.Recognizer
-	if sh.err[kind] != nil && kind == RecCSD && p.cfg.DegradedFallback && sh.err[RecROI] == nil {
+	db, err := database(a.Recognizer)
+	if err != nil && a.Recognizer == RecCSD && p.cfg.DegradedFallback && ctx.Err() == nil {
 		// The degradation ladder's one rung: CSD recognition is gone,
 		// ROI recognition still works — mine on the coarser database
 		// rather than returning nothing.
-		p.trace.Add("core.approach.degraded", 1)
-		if p.trace != nil {
-			p.trace.Add(obs.Label("csdm_mine_degraded_total", "approach", a.String()), 1)
+		if roiDB, roiErr := database(RecROI); roiErr == nil {
+			p.trace.Add("core.approach.degraded", 1)
+			if p.trace != nil {
+				p.trace.Add(obs.Label("csdm_mine_degraded_total", "approach", a.String()), 1)
+			}
+			db, err, res.Degraded = roiDB, nil, true
 		}
-		kind, res.Degraded = RecROI, true
 	}
-	if err := sh.err[kind]; err != nil {
+	if err != nil {
 		res.Err = err
 		return res
 	}
-	res.Patterns, res.Err = p.extract(ctx, a, sh.db[kind], params)
+	res.Patterns, res.Err = p.extract(ctx, a, db, params)
 	return res
 }
 

@@ -211,15 +211,8 @@ func (d *Diagram) MeanUnitPurity() float64 {
 	return sum / float64(len(d.Units))
 }
 
-// Popularity computes pop(p^I) for every POI per Equations (2)–(3):
-// the Gaussian-kernel sum over the stay points within R3σ.
-func Popularity(pois []poi.POI, stays []geo.Point, kernel geo.GaussianKernel) []float64 {
-	pop, _ := popularity(context.Background(), pois, stays, kernel, exec.Options{})
-	return pop
-}
-
-// popularity is the execution-layer core of Popularity: every POI's sum
-// starts at zero and folds in all the stays.
+// popularity computes pop(p^I) for every POI per Equations (2)–(3):
+// every POI's sum starts at zero and folds in all the stays.
 func popularity(ctx context.Context, pois []poi.POI, stays []geo.Point, kernel geo.GaussianKernel, opt exec.Options) ([]float64, error) {
 	pop := make([]float64, len(pois))
 	if err := FoldPopularity(ctx, opt, kernel, poi.Locations(pois), geo.Pack(stays), pop, nil); err != nil {
@@ -247,21 +240,20 @@ func popularity(ctx context.Context, pois []poi.POI, stays []geo.Point, kernel g
 // global id order, so a tile's fold is the full build's chain term for
 // term.
 //
-// The loop fans out on opt's pool with one query buffer per worker slot
-// from opt's arenas; a sum never depends on a buffer's leftover
-// contents. With one slot it runs inline as the caller's own loop, not
-// as pool tasks, so a shard tile (itself one task of the shard fan-out)
-// adds nothing to the pool's task count or its exec.task fault site.
+// The loop fans out on opt's pool with one query buffer per worker
+// slot; a sum never depends on a buffer's leftover contents. With one
+// slot it runs inline as the caller's own loop, not as pool tasks, so a
+// shard tile (itself one task of the shard fan-out) adds nothing to the
+// pool's task count or its exec.task fault site.
 func FoldPopularity(ctx context.Context, opt exec.Options, kernel geo.GaussianKernel, locs []geo.Point, pp *geo.PackedPoints, pop []float64, touched []bool) error {
 	if pp.Len() == 0 {
 		return nil
 	}
 	idx := index.NewPacked(opt.Index, pp, kernel.Radius())
-	arenas := opt.AcquireArenas(exec.Slots(opt.Workers, len(locs)))
-	defer opt.ReleaseArenas(arenas)
+	bufs := make([][]int, exec.Slots(opt.Workers, len(locs)))
 	fold := func(slot, i int) error {
-		buf := idx.WithinSortedAppend(locs[i], kernel.Radius(), arenas[slot].Ints[:0])
-		arenas[slot].Ints = buf
+		buf := idx.WithinSortedAppend(locs[i], kernel.Radius(), bufs[slot][:0])
+		bufs[slot] = buf
 		if len(buf) > 0 {
 			pop[i] = kernel.WeightSumInto(pop[i], locs[i], pp, buf)
 			if touched != nil {
@@ -270,7 +262,7 @@ func FoldPopularity(ctx context.Context, opt exec.Options, kernel geo.GaussianKe
 		}
 		return nil
 	}
-	if len(arenas) > 1 {
+	if len(bufs) > 1 {
 		return exec.ParallelForSlots(ctx, opt.Workers, len(locs), fold)
 	}
 	for i := range locs {

@@ -1,10 +1,12 @@
 package csd
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"csdm/internal/exec"
 	"csdm/internal/geo"
 	"csdm/internal/poi"
 	"csdm/internal/synth"
@@ -52,7 +54,10 @@ func TestPopularityFollowsStayDensity(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		stays = append(stays, at(float64(i), 0))
 	}
-	pop := Popularity(pois, stays, geo.NewGaussianKernel(100))
+	pop := make([]float64, len(pois))
+	if err := FoldPopularity(context.Background(), exec.Options{}, geo.NewGaussianKernel(100), poi.Locations(pois), geo.Pack(stays), pop, nil); err != nil {
+		t.Fatal(err)
+	}
 	if pop[0] <= 0 {
 		t.Fatalf("pop[0] = %v, want > 0", pop[0])
 	}
@@ -63,7 +68,10 @@ func TestPopularityFollowsStayDensity(t *testing.T) {
 
 func TestPopularityEmptyStays(t *testing.T) {
 	pois := []poi.POI{mkPOI(1, poi.Restaurant, 0, 0)}
-	pop := Popularity(pois, nil, geo.NewGaussianKernel(100))
+	pop := make([]float64, len(pois))
+	if err := FoldPopularity(context.Background(), exec.Options{}, geo.NewGaussianKernel(100), poi.Locations(pois), geo.Pack(nil), pop, nil); err != nil {
+		t.Fatal(err)
+	}
 	if pop[0] != 0 {
 		t.Fatalf("pop = %v, want 0", pop)
 	}

@@ -67,7 +67,7 @@ func TestFoldPopularity(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/w%d", kind, workers), func(t *testing.T) {
 				ctx := context.Background()
-				opt := exec.Options{Workers: workers, Index: kind, Arenas: exec.NewArenaPool()}
+				opt := exec.Options{Workers: workers, Index: kind}
 				fold := func(ls, pts []geo.Point, pop []float64, touched []bool) {
 					t.Helper()
 					if err := FoldPopularity(ctx, opt, kernel, ls, geo.Pack(pts), pop, touched); err != nil {

@@ -139,7 +139,7 @@ func timedCall(m *execMetrics, fn func(slot, i int) error, slot, i int) error {
 }
 
 // Options carries the execution-layer knobs every pipeline stage
-// shares. The zero value means "all cores, grid index, no arena reuse".
+// shares. The zero value means "all cores, grid index".
 type Options struct {
 	// Workers bounds a stage's parallelism. Zero or negative means
 	// runtime.NumCPU(); one runs the stage sequentially inline.
@@ -147,22 +147,7 @@ type Options struct {
 	// Index selects the spatial-index backend stages build their
 	// range/kNN structures with.
 	Index index.Kind
-	// Arenas is the cross-stage scratch pool. Stages that run parallel
-	// regions check per-slot arenas out of it (AcquireArenas /
-	// ReleaseArenas) so scratch buffers are reused across stage
-	// invocations instead of reallocated. Nil disables reuse — every
-	// region then gets fresh arenas — which keeps Options' zero value
-	// fully functional.
-	Arenas *ArenaPool
 }
-
-// AcquireArenas checks n per-slot arenas out of the options' pool (or
-// allocates fresh ones when no pool is attached). Pair with
-// ReleaseArenas at region end.
-func (o Options) AcquireArenas(n int) []*Arena { return o.Arenas.Acquire(n) }
-
-// ReleaseArenas returns arenas checked out with AcquireArenas.
-func (o Options) ReleaseArenas(as []*Arena) { o.Arenas.Release(as) }
 
 // Workers resolves a configured worker count: non-positive means
 // runtime.NumCPU().
@@ -175,8 +160,8 @@ func Workers(n int) int {
 
 // Slots returns the number of distinct worker slots ParallelForSlots
 // will use for n tasks under the given worker budget — the size callers
-// give per-worker scratch arenas. It is at least 1 so scratch slices
-// can be indexed unconditionally.
+// give per-worker scratch. It is at least 1 so scratch slices can be
+// indexed unconditionally.
 func Slots(workers, n int) int {
 	workers = Workers(workers)
 	if n > 0 && workers > n {
@@ -201,10 +186,10 @@ func ParallelFor(ctx context.Context, workers, n int, fn func(i int) error) erro
 // ParallelForSlots is ParallelFor for tasks that reuse per-worker
 // scratch state: fn additionally receives the worker slot running the
 // task, a value in [0, Slots(workers, n)) that is never held by two
-// concurrent tasks. Callers index pre-sized scratch arenas by it —
-// buffers are per-slot, never shared — so reuse cannot race and, as
-// long as a task's OUTPUT never depends on scratch contents left by a
-// previous task, results stay bit-identical for any worker budget.
+// concurrent tasks. Callers index pre-sized scratch by it — buffers
+// are per-slot, never shared — so reuse cannot race and, as long as a
+// task's OUTPUT never depends on scratch contents left by a previous
+// task, results stay bit-identical for any worker budget.
 // With an effective worker count of one every task runs inline on slot
 // 0 in index order.
 func ParallelForSlots(ctx context.Context, workers, n int, fn func(slot, i int) error) error {

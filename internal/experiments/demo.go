@@ -49,9 +49,9 @@ func (e *Env) Fig14(params pattern.Params) []Fig14BucketResult {
 		} else {
 			bucketParams.Sigma = 2
 		}
-		db := recognize.AnnotateJourneys(js, trajectory.DefaultChainParams(), rec)
 		// A background environment is never canceled, and cancellation
-		// is the only way extraction fails.
+		// is the only way annotation and extraction fail.
+		db, _ := recognize.AnnotateJourneysEnv(stage.Background(), js, trajectory.DefaultChainParams(), rec)
 		ps, _ := pattern.NewCounterpartCluster().Extract(stage.Background(), db, bucketParams)
 		res := Fig14BucketResult{
 			Bucket:      b,

@@ -33,7 +33,7 @@ func (r *CSDRecognizer) Recognize(p geo.Point) poi.Semantics {
 	return r.RecognizeBuf(p, &sc)
 }
 
-// RecognizeBuf implements BufferedRecognizer. The per-unit vote tallies
+// RecognizeBuf implements Recognizer. The per-unit vote tallies
 // live in parallel slices scanned linearly — a stay point sees a
 // handful of units at most, so the scan beats a map and allocates
 // nothing. The winner rule (highest vote, lowest unit ID on ties)

@@ -41,3 +41,9 @@ func (r *NearestPOIRecognizer) Recognize(p geo.Point) poi.Semantics {
 	}
 	return 0
 }
+
+// RecognizeBuf implements Recognizer; the nearest-neighbor query keeps
+// no scratch.
+func (r *NearestPOIRecognizer) RecognizeBuf(p geo.Point, _ *Scratch) poi.Semantics {
+	return r.Recognize(p)
+}

@@ -23,13 +23,17 @@ type Recognizer interface {
 	// Recognize returns the semantic property of a stay at p; the empty
 	// set when nothing is known about the location.
 	Recognize(p geo.Point) poi.Semantics
+	// RecognizeBuf is Recognize using sc for all transient state, so
+	// annotation loops that thread one Scratch per worker slot allocate
+	// nothing per stay.
+	RecognizeBuf(p geo.Point, sc *Scratch) poi.Semantics
 }
 
-// Scratch is per-worker reusable state for buffered recognition. One
-// Scratch belongs to exactly one worker at a time (the zero value is
-// ready to use); a recognizer may leave arbitrary garbage in it between
-// calls but must never let an answer depend on that garbage, so scratch
-// reuse cannot perturb worker-count determinism.
+// Scratch is per-worker reusable state for recognition. One Scratch
+// belongs to exactly one worker at a time (the zero value is ready to
+// use); a recognizer may leave arbitrary garbage in it between calls
+// but must never let an answer depend on that garbage, so scratch reuse
+// cannot perturb worker-count determinism.
 type Scratch struct {
 	ids   []int
 	uids  []int
@@ -37,42 +41,20 @@ type Scratch struct {
 	tags  []poi.Semantics
 }
 
-// BufferedRecognizer is a Recognizer whose lookups can run against
-// caller-owned scratch instead of allocating per call. Annotation loops
-// type-assert for it and thread one Scratch per worker slot.
-type BufferedRecognizer interface {
-	Recognizer
-	// RecognizeBuf is Recognize using sc for all transient state.
-	RecognizeBuf(p geo.Point, sc *Scratch) poi.Semantics
-}
-
-// Annotate fills in the semantic property of every stay point of every
-// trajectory in db, in place — the outer loop of Algorithm 3.
-func Annotate(db []trajectory.SemanticTrajectory, r Recognizer) {
-	_ = AnnotateCtx(context.Background(), db, r, 0)
-}
-
-// AnnotateCtx annotates db on a bounded worker pool, one task per
-// trajectory; every Recognizer in this package is safe for concurrent
-// readers. Each stay's property depends only on its own location, so
-// the annotation is identical for any worker budget. A canceled ctx
-// aborts with ctx.Err(), leaving db partially annotated.
+// AnnotateCtx fills in the semantic property of every stay point of
+// every trajectory in db, in place — the outer loop of Algorithm 3. It
+// runs on a bounded worker pool, one task per trajectory, with one
+// Scratch per worker slot; every Recognizer in this package is safe for
+// concurrent readers. Each stay's property depends only on its own
+// location, so the annotation is identical for any worker budget. A
+// canceled ctx aborts with ctx.Err(), leaving db partially annotated.
 func AnnotateCtx(ctx context.Context, db []trajectory.SemanticTrajectory, r Recognizer, workers int) error {
-	if br, ok := r.(BufferedRecognizer); ok {
-		scratch := make([]Scratch, exec.Slots(workers, len(db)))
-		return exec.ParallelForSlots(ctx, workers, len(db), func(slot, ti int) error {
-			sc := &scratch[slot]
-			stays := db[ti].Stays
-			for si := range stays {
-				stays[si].S = br.RecognizeBuf(stays[si].P, sc)
-			}
-			return nil
-		})
-	}
-	return exec.ParallelFor(ctx, workers, len(db), func(ti int) error {
+	scratch := make([]Scratch, exec.Slots(workers, len(db)))
+	return exec.ParallelForSlots(ctx, workers, len(db), func(slot, ti int) error {
+		sc := &scratch[slot]
 		stays := db[ti].Stays
 		for si := range stays {
-			stays[si].S = r.Recognize(stays[si].P)
+			stays[si].S = r.RecognizeBuf(stays[si].P, sc)
 		}
 		return nil
 	})
@@ -86,44 +68,25 @@ func AnnotateCtx(ctx context.Context, db []trajectory.SemanticTrajectory, r Reco
 // allocates nothing. Returns ctx.Err() on cancellation, leaving the
 // remaining stays unannotated.
 func RecognizeStays(ctx context.Context, stays []trajectory.StayPoint, r Recognizer, sc *Scratch) error {
-	br, buffered := r.(BufferedRecognizer)
-	if buffered && sc == nil {
+	if sc == nil {
 		sc = new(Scratch)
 	}
 	for i := range stays {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if buffered {
-			stays[i].S = br.RecognizeBuf(stays[i].P, sc)
-		} else {
-			stays[i].S = r.Recognize(stays[i].P)
-		}
+		stays[i].S = r.RecognizeBuf(stays[i].P, sc)
 	}
 	return nil
 }
 
-// AnnotateJourneys converts raw journeys into annotated semantic
+// AnnotateJourneysEnv converts raw journeys into annotated semantic
 // trajectories: chain card-linked journeys (§5), then recognize every
-// stay point.
-func AnnotateJourneys(js []trajectory.Journey, chain trajectory.ChainParams, r Recognizer) []trajectory.SemanticTrajectory {
-	return AnnotateJourneysTraced(js, chain, r, nil)
-}
-
-// AnnotateJourneysTraced is AnnotateJourneys with telemetry recorded on
-// tr (nil-safe).
-func AnnotateJourneysTraced(js []trajectory.Journey, chain trajectory.ChainParams, r Recognizer, tr *obs.Trace) []trajectory.SemanticTrajectory {
-	env := stage.Background()
-	env.Trace = tr
-	db, _ := AnnotateJourneysEnv(env, js, chain, r)
-	return db
-}
-
-// AnnotateJourneysEnv is the full-control form: a "recognize.<name>"
-// span with chain and annotate children, plus counters for the stays
-// the recognizer annotated versus left unknown (the empty property).
-// Annotation fans out over env's worker pool; a canceled env.Ctx
-// aborts with its error and a nil database.
+// stay point. It records a "recognize.<name>" span with chain and
+// annotate children, plus counters for the stays the recognizer
+// annotated versus left unknown (the empty property). Annotation fans
+// out over env's worker pool; a canceled env.Ctx aborts with its error
+// and a nil database.
 func AnnotateJourneysEnv(env stage.Env, js []trajectory.Journey, chain trajectory.ChainParams, r Recognizer) ([]trajectory.SemanticTrajectory, error) {
 	tr := env.Trace
 	root := env.StartSpan("recognize." + r.Name())

@@ -1,6 +1,7 @@
 package recognize
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"csdm/internal/geo"
 	"csdm/internal/index"
 	"csdm/internal/poi"
+	"csdm/internal/stage"
+	"csdm/internal/synth"
 	"csdm/internal/trajectory"
 )
 
@@ -123,7 +126,7 @@ func TestROIRecognizerRegionAnnotation(t *testing.T) {
 		pois = append(pois, mkPOI(id, poi.Restaurant, 250+rng.NormFloat64()*20, rng.NormFloat64()*20))
 		id++
 	}
-	r := NewROIRecognizer(stays, pois, DefaultROIParams())
+	r := NewROIRecognizerEnv(stage.Background(), stays, pois, DefaultROIParams())
 	if r.Name() != "ROI" {
 		t.Fatalf("Name = %q", r.Name())
 	}
@@ -161,7 +164,7 @@ func TestROIRecognizerUnannotatedOutsideRegions(t *testing.T) {
 		mkPOI(1, poi.Restaurant, 0, 0),
 		mkPOI(2, poi.MedicalService, 2000, 0), // isolated hospital, no region
 	}
-	r := NewROIRecognizer(stays, pois, DefaultROIParams())
+	r := NewROIRecognizerEnv(stage.Background(), stays, pois, DefaultROIParams())
 	if got := r.Recognize(origin); !got.Has(poi.Restaurant) {
 		t.Fatalf("in-region annotation = %v, want restaurant", got)
 	}
@@ -174,7 +177,7 @@ func TestROIRecognizerUnannotatedOutsideRegions(t *testing.T) {
 
 func TestROIRecognizerNoRegions(t *testing.T) {
 	pois := []poi.POI{mkPOI(1, poi.Restaurant, 0, 0)}
-	r := NewROIRecognizer([]geo.Point{origin}, pois, DefaultROIParams())
+	r := NewROIRecognizerEnv(stage.Background(), []geo.Point{origin}, pois, DefaultROIParams())
 	if r.NumRegions() != 0 {
 		t.Fatalf("regions = %d, want 0", r.NumRegions())
 	}
@@ -216,7 +219,9 @@ func TestAnnotateFillsSemantics(t *testing.T) {
 			{P: at(60, 0), T: t0.Add(time.Hour)},
 		}},
 	}
-	Annotate(db, r)
+	if err := AnnotateCtx(context.Background(), db, r, 0); err != nil {
+		t.Fatal(err)
+	}
 	if !db[0].Stays[0].S.Has(poi.ShopMarket) {
 		t.Fatalf("stay 0 = %v", db[0].Stays[0].S)
 	}
@@ -237,7 +242,10 @@ func TestAnnotateJourneys(t *testing.T) {
 	}
 	// The scene's anchors are only ~100 m apart, so use a merge radius
 	// below that to keep the stays distinct.
-	sts := AnnotateJourneys(js, trajectory.ChainParams{MergeDist: 20, MinStays: 3}, r)
+	sts, err := AnnotateJourneysEnv(stage.Background(), js, trajectory.ChainParams{MergeDist: 20, MinStays: 3}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sts) != 1 {
 		t.Fatalf("trajectories = %d, want 1", len(sts))
 	}
@@ -245,5 +253,91 @@ func TestAnnotateJourneys(t *testing.T) {
 		if sp.S.IsEmpty() {
 			t.Fatalf("stay %d unannotated", i)
 		}
+	}
+}
+
+// smallCity returns a small synthetic city's POIs, its stay points and
+// the chained trajectory database of its journeys.
+func smallCity() ([]poi.POI, []geo.Point, []trajectory.SemanticTrajectory) {
+	cfg := synth.DefaultConfig()
+	cfg.NumPOIs = 600
+	cfg.NumPassengers = 150
+	cfg.Days = 3
+	city := synth.NewCity(cfg)
+	w := city.GenerateWorkload()
+	stays := make([]geo.Point, 0, 2*len(w.Journeys))
+	for _, j := range w.Journeys {
+		stays = append(stays, j.Pickup, j.Dropoff)
+	}
+	return city.POIs, stays, trajectory.Chain(w.Journeys, trajectory.DefaultChainParams())
+}
+
+// TestRecognizeStaysZeroAllocs pins the untraced hot path's contract:
+// once a Scratch has grown to the stays' working set, Algorithm 3 over
+// them through RecognizeStays allocates nothing.
+func TestRecognizeStaysZeroAllocs(t *testing.T) {
+	pois, stays, _ := smallCity()
+	r := NewCSDRecognizer(csd.Build(pois, stays, csd.DefaultParams()))
+	probe := make([]trajectory.StayPoint, len(stays))
+	for i, p := range stays {
+		probe[i].P = p
+	}
+	ctx := context.Background()
+	sc := new(Scratch)
+	if err := RecognizeStays(ctx, probe, r, sc); err != nil {
+		t.Fatal(err)
+	}
+	known := 0
+	for _, sp := range probe {
+		if !sp.S.IsEmpty() {
+			known++
+		}
+	}
+	if known == 0 {
+		t.Fatal("no stay recognized; the probe exercises nothing")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := RecognizeStays(ctx, probe, r, sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("RecognizeStays with a warmed Scratch: %v allocs per run over %d stays, want 0", allocs, len(probe))
+	}
+}
+
+// TestNearestPOIAnnotateWorkerInvariant checks that the nearest-POI
+// baseline annotates a database identically at one and four workers.
+func TestNearestPOIAnnotateWorkerInvariant(t *testing.T) {
+	pois, _, db := smallCity()
+	r := NewNearestPOIRecognizer(pois, csd.DefaultParams().R3Sigma, index.KindGrid)
+	annotate := func(workers int) []trajectory.SemanticTrajectory {
+		t.Helper()
+		out := make([]trajectory.SemanticTrajectory, len(db))
+		for i, st := range db {
+			out[i] = st
+			out[i].Stays = append([]trajectory.StayPoint(nil), st.Stays...)
+		}
+		if err := AnnotateCtx(context.Background(), out, r, workers); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	one, four := annotate(1), annotate(4)
+	known, unknown := 0, 0
+	for i := range one {
+		for j, sp := range one[i].Stays {
+			if got := four[i].Stays[j].S; got != sp.S {
+				t.Fatalf("trajectory %d stay %d: %v at four workers, %v at one", i, j, got, sp.S)
+			}
+			if sp.S.IsEmpty() {
+				unknown++
+			} else {
+				known++
+			}
+		}
+	}
+	if known == 0 || unknown == 0 {
+		t.Fatalf("%d stays known and %d unknown; want both non-zero", known, unknown)
 	}
 }

@@ -55,15 +55,9 @@ type ROIRecognizer struct {
 	poiIdx   index.Index
 }
 
-// NewROIRecognizer builds the baseline from historical stay-point
-// locations and the POI dataset.
-func NewROIRecognizer(stays []geo.Point, pois []poi.POI, params ROIParams) *ROIRecognizer {
-	return NewROIRecognizerEnv(stage.Background(), stays, pois, params)
-}
-
-// NewROIRecognizerEnv is NewROIRecognizer under a stage environment:
-// hot-region DBSCAN and the lookup structures use the env.Opt.Index
-// backend.
+// NewROIRecognizerEnv builds the baseline from historical stay-point
+// locations and the POI dataset: hot-region DBSCAN and the lookup
+// structures use the env.Opt.Index backend.
 func NewROIRecognizerEnv(env stage.Env, stays []geo.Point, pois []poi.POI, params ROIParams) *ROIRecognizer {
 	opt := env.Opt
 	res := cluster.DBSCANWith(stays, params.Eps, params.MinPts, opt)
@@ -103,7 +97,7 @@ func (r *ROIRecognizer) Recognize(p geo.Point) poi.Semantics {
 	return r.RecognizeBuf(p, &sc)
 }
 
-// RecognizeBuf implements BufferedRecognizer; sc.ids serves both the
+// RecognizeBuf implements Recognizer; sc.ids serves both the
 // region-membership and the POI range query in turn.
 func (r *ROIRecognizer) RecognizeBuf(p geo.Point, sc *Scratch) poi.Semantics {
 	sc.ids = r.stayIdx.WithinAppend(p, r.params.Eps, sc.ids[:0])

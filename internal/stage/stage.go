@@ -61,12 +61,7 @@ type Env struct {
 	// Trace is the run's telemetry sink. All obs methods are nil-safe.
 	Trace *obs.Trace
 	// Opt carries the execution-layer knobs (worker budget, spatial
-	// index backend) and the cross-stage arena handle: Opt.Arenas is the
-	// pipeline-lifetime scratch pool a stage body checks per-slot arenas
-	// out of (Opt.AcquireArenas / Opt.ReleaseArenas) so scratch grown by
-	// one stage invocation is reused by the next. The handle rides on
-	// Options rather than Env so legacy call paths that only thread
-	// exec.Options get arena reuse too.
+	// index backend).
 	Opt exec.Options
 }
 
