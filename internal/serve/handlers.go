@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -73,17 +74,18 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // while the service slots are saturated (info, admin reload) use it
 // directly; data-path routes go through guarded.
 func (s *Server) instrument(route, method string, h func(ctx context.Context, w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
+	rm := s.met.route(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != method {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		s.met.request(route)
+		s.met.request(rm)
 		start := time.Now()
 		ctx, cancel := requestContext(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 		err := contain(func() error { return h(ctx, w, r) })
-		s.met.observe(route, time.Since(start).Seconds())
+		rm.latency.Observe(time.Since(start).Seconds())
 		if err != nil {
 			s.fail(w, err)
 		}
@@ -94,16 +96,18 @@ func (s *Server) instrument(route, method string, h func(ctx context.Context, w 
 // claims an admission slot (or is shed with 503 + Retry-After), and
 // only then runs under the deadline and panic containment.
 func (s *Server) guarded(route, method string, h func(ctx context.Context, w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
+	rm := s.met.route(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != method {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		s.met.request(route)
+		s.met.request(rm)
 		if s.snap.Load() == nil {
 			http.Error(w, "no snapshot loaded", http.StatusServiceUnavailable)
 			return
 		}
+		queued := time.Now()
 		if err := s.adm.acquire(r.Context()); err != nil {
 			if errors.Is(err, errShed) {
 				s.met.shed()
@@ -120,10 +124,11 @@ func (s *Server) guarded(route, method string, h func(ctx context.Context, w htt
 		}()
 
 		start := time.Now()
+		s.met.phase(phaseAdmission, start.Sub(queued))
 		ctx, cancel := requestContext(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 		err := contain(func() error { return h(ctx, w, r) })
-		s.met.observe(route, time.Since(start).Seconds())
+		rm.latency.Observe(time.Since(start).Seconds())
 		if err != nil {
 			s.fail(w, err)
 		}
@@ -218,15 +223,10 @@ type recognizeRequest struct {
 	Stays []pointJSON `json:"stays"`
 }
 
-type recognizedStay struct {
-	Lon       float64  `json:"lon"`
-	Lat       float64  `json:"lat"`
-	Semantics []string `json:"semantics"`
-}
-
-// decodeRecognizeRequest reads body as exactly one JSON value: a body
-// over the size limit is 413, and one that is malformed or carries
-// anything but whitespace after the value is 400.
+// decodeRecognizeRequest reads body as exactly one JSON value: one
+// that is malformed or carries anything but whitespace after the value
+// is 400. It defines the contract for every body scanStays does not
+// take.
 func decodeRecognizeRequest(body io.Reader) (recognizeRequest, error) {
 	var req recognizeRequest
 	dec := json.NewDecoder(body)
@@ -241,45 +241,85 @@ func decodeRecognizeRequest(body io.Reader) (recognizeRequest, error) {
 			err = fmt.Errorf("trailing data after the JSON value: %w", err)
 		}
 	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return req, &httpError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
-	}
 	return req, badRequest("bad request body: %v", err)
+}
+
+// decodeStays parses a /v1/recognize body into dst[:0]: a canonical
+// body through scanStays, any other through decodeRecognizeRequest.
+// It refuses a body with no stays or with an invalid coordinate.
+func decodeStays(body []byte, dst []trajectory.StayPoint) ([]trajectory.StayPoint, error) {
+	stays, ok := scanStays(body, dst[:0])
+	if !ok {
+		req, err := decodeRecognizeRequest(bytes.NewReader(body))
+		if err != nil {
+			return stays, err
+		}
+		stays = stays[:0]
+		for _, p := range req.Stays {
+			stays = append(stays, trajectory.StayPoint{P: geo.Point{Lon: p.Lon, Lat: p.Lat}})
+		}
+	}
+	if len(stays) == 0 {
+		return stays, badRequest("no stays to recognize")
+	}
+	for i, st := range stays {
+		if err := st.P.Check(); err != nil {
+			return stays, badRequest("stay %d: %v", i, err)
+		}
+	}
+	return stays, nil
 }
 
 // handleRecognize annotates the posted stay points against the live
 // snapshot (Algorithm 3), loading the snapshot exactly once so a
 // concurrent hot-swap cannot split one journey across generations.
+// The body is read whole into a pooled buffer, so a body over
+// MaxBodyBytes is always 413, and the response is appended over it.
 func (s *Server) handleRecognize(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	snap := s.snap.Load()
 	if snap == nil {
 		return &httpError{code: http.StatusServiceUnavailable, msg: "no snapshot loaded"}
 	}
-	req, err := decodeRecognizeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	t0 := time.Now()
+	buf := s.bufs.Get().(*recognizeBuf)
+	defer s.putBuf(buf)
+	var err error
+	buf.b, err = readBody(buf.b, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &httpError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+		}
+		return badRequest("bad request body: %v", err)
+	}
+	buf.stays, err = decodeStays(buf.b, buf.stays)
 	if err != nil {
 		return err
 	}
-	if len(req.Stays) == 0 {
-		return badRequest("no stays to recognize")
-	}
-	stays := make([]trajectory.StayPoint, len(req.Stays))
-	for i, p := range req.Stays {
-		if err := geo.CheckCoord(p.Lon, p.Lat); err != nil {
-			return badRequest("stay %d: %v", i, err)
-		}
-		stays[i].P = geo.Point{Lon: p.Lon, Lat: p.Lat}
-	}
+	t1 := time.Now()
+	s.met.phase(phaseDecode, t1.Sub(t0))
+
 	sc := s.scratch.Get().(*recognize.Scratch)
 	defer s.scratch.Put(sc)
-	if err := recognize.RecognizeStays(ctx, stays, snap.Rec, sc); err != nil {
+	if err := recognize.RecognizeStays(ctx, buf.stays, snap.Rec, sc); err != nil {
 		return err
 	}
-	out := make([]recognizedStay, len(stays))
-	for i, st := range stays {
-		out[i] = recognizedStay{Lon: st.P.Lon, Lat: st.P.Lat, Semantics: semanticsNames(st.S)}
+	t2 := time.Now()
+	s.met.phase(phaseRecognize, t2.Sub(t1))
+
+	buf.b = appendRecognizeResponse(buf.b[:0], snap.Generation, buf.stays)
+	w.Header().Set("Content-Type", "application/json")
+	_, err = w.Write(buf.b)
+	s.met.phase(phaseEncode, time.Since(t2))
+	return err
+}
+
+// putBuf returns a recognize buffer to the pool unless a large request
+// grew it past the caps.
+func (s *Server) putBuf(buf *recognizeBuf) {
+	if cap(buf.b) <= maxPooledBytes && cap(buf.stays) <= maxPooledStays {
+		s.bufs.Put(buf)
 	}
-	return writeJSON(w, map[string]any{"generation": snap.Generation, "stays": out})
 }
 
 // queryPoint parses the lon/lat[/radius] query parameters shared by

@@ -1,6 +1,10 @@
 package serve
 
-import "csdm/internal/obs"
+import (
+	"time"
+
+	"csdm/internal/obs"
+)
 
 // The serve metric families. Every one is pre-declared at zero when
 // the server is constructed, so a scrape taken before the first
@@ -21,25 +25,52 @@ const (
 	mUnits          = "csdm_serve_snapshot_units"
 	mWatchPending   = "csdm_serve_watch_pending"
 	famReqSeconds   = "csdm_serve_request_seconds"
+	famPhaseSeconds = "csdm_serve_phase_seconds"
 )
 
 // routeNames lists every instrumented route, so the per-route request
 // histograms exist (at zero observations) from process start.
 var routeNames = []string{"recognize", "units", "patterns", "info", "reload"}
 
+// phase is one slice of a request's time in csdm_serve_phase_seconds.
+type phase int
+
+const (
+	// phaseAdmission is the wait for an admission slot, on every
+	// guarded route.
+	phaseAdmission phase = iota
+	// phaseDecode, phaseRecognize and phaseEncode split a
+	// /v1/recognize request: read and parse the body, run Algorithm 3,
+	// append and write the response.
+	phaseDecode
+	phaseRecognize
+	phaseEncode
+	numPhases
+)
+
+var phaseNames = [numPhases]string{"admission", "decode", "recognize", "encode"}
+
+// routeMetrics is one route's pre-resolved series: the labelled
+// request counter name, built once, and the latency histogram.
+type routeMetrics struct {
+	requests string
+	latency  *obs.Histogram
+}
+
 // metricsSet is the server's pre-resolved metrics: counters by name
-// (the registry's atomic fast path) and one latency histogram per
-// route so the per-request cost is two time reads and a few atomic
-// bumps, never a map lookup on the histogram. All of it is nil-safe —
-// with no registry the histograms are nil (no-op Observe) and the
-// counter adds return immediately.
+// (the registry's atomic fast path), one latency histogram per route
+// and one per request phase, so the per-request cost is a few time
+// reads and atomic bumps, never a label build or a map lookup on a
+// histogram. All of it is nil-safe — with no registry the histograms
+// are nil (no-op Observe) and the counter adds return immediately.
 type metricsSet struct {
-	reg     *obs.Registry
-	reqHist map[string]*obs.Histogram
+	reg    *obs.Registry
+	routes map[string]*routeMetrics
+	phases [numPhases]*obs.Histogram
 }
 
 func newMetrics(reg *obs.Registry) *metricsSet {
-	m := &metricsSet{reg: reg, reqHist: make(map[string]*obs.Histogram, len(routeNames))}
+	m := &metricsSet{reg: reg, routes: make(map[string]*routeMetrics, len(routeNames))}
 	reg.Describe(mRequests, "Requests received by the recognition service, by route.")
 	reg.Describe(mShed, "Requests shed by admission control with 503 + Retry-After.")
 	reg.Describe(mPanics, "Handler panics contained per-request (500 to the caller, server stays up).")
@@ -53,6 +84,7 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 	reg.Describe(mUnits, "Semantic units in the live snapshot.")
 	reg.Describe(mWatchPending, "1 while the watcher is waiting for the checkpoint dir's first published generation, else 0.")
 	reg.Describe(famReqSeconds, "Latency of recognition-service requests, by route.")
+	reg.Describe(famPhaseSeconds, "Time spent per request phase: admission wait (every guarded route), then decode, recognize and encode (/v1/recognize).")
 	// Seed every family at zero so /metrics is complete before the
 	// first event of each kind.
 	for _, name := range []string{mShed, mPanics, mErrors, mTimeouts, mReloads, mReloadFailures} {
@@ -64,24 +96,39 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 	reg.SetGauge(mUnits, 0)
 	reg.SetGauge(mWatchPending, 0)
 	for _, route := range routeNames {
-		reg.Add(obs.Label(mRequests, "route", route), 0)
-		m.reqHist[route] = reg.Histogram(obs.Label(famReqSeconds, "route", route), obs.DefBuckets)
+		rm := &routeMetrics{
+			requests: obs.Label(mRequests, "route", route),
+			latency:  reg.Histogram(obs.Label(famReqSeconds, "route", route), obs.DefBuckets),
+		}
+		reg.Add(rm.requests, 0)
+		m.routes[route] = rm
+	}
+	for p, name := range phaseNames {
+		m.phases[p] = reg.Histogram(obs.Label(famPhaseSeconds, "phase", name), obs.DefBuckets)
 	}
 	return m
 }
 
-func (m *metricsSet) request(route string) { m.reg.Add(obs.Label(mRequests, "route", route), 1) }
-func (m *metricsSet) shed()                { m.reg.Add(mShed, 1) }
-func (m *metricsSet) panicked()            { m.reg.Add(mPanics, 1) }
-func (m *metricsSet) errored()             { m.reg.Add(mErrors, 1) }
-func (m *metricsSet) timedOut()            { m.reg.Add(mTimeouts, 1) }
-func (m *metricsSet) reloaded()            { m.reg.Add(mReloads, 1) }
-func (m *metricsSet) reloadFailed()        { m.reg.Add(mReloadFailures, 1) }
-func (m *metricsSet) inflight(n int64)     { m.reg.SetGauge(mInflight, float64(n)) }
-func (m *metricsSet) observe(route string, seconds float64) {
-	if h := m.reqHist[route]; h != nil {
-		h.Observe(seconds)
+// route returns the named route's series; the route wrappers resolve
+// it once, when the route is registered.
+func (m *metricsSet) route(name string) *routeMetrics {
+	rm, ok := m.routes[name]
+	if !ok {
+		panic("serve: unregistered route " + name)
 	}
+	return rm
+}
+
+func (m *metricsSet) request(rm *routeMetrics) { m.reg.Add(rm.requests, 1) }
+func (m *metricsSet) shed()                    { m.reg.Add(mShed, 1) }
+func (m *metricsSet) panicked()                { m.reg.Add(mPanics, 1) }
+func (m *metricsSet) errored()                 { m.reg.Add(mErrors, 1) }
+func (m *metricsSet) timedOut()                { m.reg.Add(mTimeouts, 1) }
+func (m *metricsSet) reloaded()                { m.reg.Add(mReloads, 1) }
+func (m *metricsSet) reloadFailed()            { m.reg.Add(mReloadFailures, 1) }
+func (m *metricsSet) inflight(n int64)         { m.reg.SetGauge(mInflight, float64(n)) }
+func (m *metricsSet) phase(p phase, d time.Duration) {
+	m.phases[p].Observe(d.Seconds())
 }
 func (m *metricsSet) watchPending(pending bool) {
 	v := 0.0

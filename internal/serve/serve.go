@@ -14,10 +14,12 @@
 //     deadline (Config.RequestTimeout, propagated via context into the
 //     recognition loop), a recover wrapper that converts handler panics
 //     into *exec.PanicError — 500 to the caller, counter bumped, server
-//     stays up — and a per-request recognize.Scratch from a sync.Pool so
-//     steady-state recognition allocates nothing. The "serve.request"
-//     fault site fires inside the containment, so injected errors and
-//     panics take exactly the paths real failures take.
+//     stays up — and a per-request recognize.Scratch and body buffer
+//     from sync.Pools, so steady-state recognition allocates nothing
+//     and /v1/recognize decodes and encodes without reflection
+//     (codec.go). The "serve.request" fault site fires inside the
+//     containment, so injected errors and panics take exactly the
+//     paths real failures take.
 //   - Validated hot-swap with rollback. Reload re-reads the snapshot
 //     through the framed CRC path, sanity-checks it (non-empty units,
 //     extent overlap with the live diagram), and only then swaps an
@@ -73,7 +75,8 @@ type Config struct {
 	// zero means one second (the header is always present — clients and
 	// tests key off it to distinguish shedding from failure).
 	RetryAfter time.Duration
-	// MaxBodyBytes caps request bodies; zero means 1 MiB.
+	// MaxBodyBytes caps request bodies (a larger one is 413); zero
+	// means 1 MiB.
 	MaxBodyBytes int64
 	// Registry receives the serve metric families (nil records
 	// nothing). Every family is pre-declared at zero on construction so
@@ -159,6 +162,7 @@ type Server struct {
 	currentDir   string
 
 	scratch sync.Pool // *recognize.Scratch
+	bufs    sync.Pool // *recognizeBuf
 
 	httpMu  sync.Mutex
 	httpSrv *http.Server
@@ -176,6 +180,7 @@ func New(cfg Config) *Server {
 		met: newMetrics(cfg.Registry),
 	}
 	s.scratch.New = func() any { return new(recognize.Scratch) }
+	s.bufs.New = func() any { return &recognizeBuf{b: make([]byte, 0, 1024)} }
 	s.mux = http.NewServeMux()
 	s.routes(s.mux)
 	return s
