@@ -8,6 +8,7 @@ package csdm
 // the timings. The shared synthetic environment is built once.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -74,7 +75,7 @@ func BenchmarkTable3POICategories(b *testing.B) {
 
 func BenchmarkFig6CSDConstruction(b *testing.B) {
 	env := sharedEnv()
-	stays := env.Pipeline.StayPoints()
+	stays := core.Stays(env.Pipeline.Journeys())
 	params := core.DefaultConfig().CSD
 	var d *csd.Diagram
 	for i := 0; i < b.N; i++ {
@@ -97,8 +98,11 @@ func BenchmarkFig8StayPoints(b *testing.B) {
 func BenchmarkFig9SparsityDistribution(b *testing.B) {
 	env := sharedEnv()
 	var r experiments.Fig9Result
+	var err error
 	for i := 0; i < b.N; i++ {
-		r = env.Fig9(benchParams())
+		if r, err = env.Fig9(benchParams()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(r.Summaries["CSD-PM"].MeanSparsity, "csdpm-ss")
 	b.ReportMetric(r.Summaries["ROI-PM"].MeanSparsity, "roipm-ss")
@@ -107,8 +111,11 @@ func BenchmarkFig9SparsityDistribution(b *testing.B) {
 func BenchmarkFig10ConsistencyBoxes(b *testing.B) {
 	env := sharedEnv()
 	var r experiments.Fig10Result
+	var err error
 	for i := 0; i < b.N; i++ {
-		r = env.Fig10(benchParams())
+		if r, err = env.Fig10(benchParams()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(r.Boxes["CSD-PM"].Mean, "csdpm-sc")
 	b.ReportMetric(r.Boxes["ROI-PM"].Mean, "roipm-sc")
@@ -117,8 +124,11 @@ func BenchmarkFig10ConsistencyBoxes(b *testing.B) {
 func BenchmarkFig11SupportSweep(b *testing.B) {
 	env := sharedEnv()
 	var r experiments.SweepResult
+	var err error
 	for i := 0; i < b.N; i++ {
-		r = env.Fig11()
+		if r, err = env.Fig11(); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(len(r.Points)), "sweep-points")
 }
@@ -126,8 +136,11 @@ func BenchmarkFig11SupportSweep(b *testing.B) {
 func BenchmarkFig12DensitySweep(b *testing.B) {
 	env := sharedEnv()
 	var r experiments.SweepResult
+	var err error
 	for i := 0; i < b.N; i++ {
-		r = env.Fig12()
+		if r, err = env.Fig12(); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(len(r.Points)), "sweep-points")
 }
@@ -135,8 +148,11 @@ func BenchmarkFig12DensitySweep(b *testing.B) {
 func BenchmarkFig13TemporalSweep(b *testing.B) {
 	env := sharedEnv()
 	var r experiments.SweepResult
+	var err error
 	for i := 0; i < b.N; i++ {
-		r = env.Fig13()
+		if r, err = env.Fig13(); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(len(r.Points)), "sweep-points")
 }
@@ -144,8 +160,11 @@ func BenchmarkFig13TemporalSweep(b *testing.B) {
 func BenchmarkFig14TimeBuckets(b *testing.B) {
 	env := sharedEnv()
 	var r []experiments.Fig14BucketResult
+	var err error
 	for i := 0; i < b.N; i++ {
-		r = env.Fig14(benchParams())
+		if r, err = env.Fig14(benchParams()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	weekday, weekend := 0, 0
 	for _, br := range r {
@@ -162,8 +181,11 @@ func BenchmarkFig14TimeBuckets(b *testing.B) {
 func BenchmarkFig14gAirport(b *testing.B) {
 	env := sharedEnv()
 	var r experiments.Fig14gResult
+	var err error
 	for i := 0; i < b.N; i++ {
-		r = env.Fig14g(benchParams())
+		if r, err = env.Fig14g(benchParams()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(r.AirportShare*100, "airport-trip-%")
 	b.ReportMetric(float64(r.AirportPatterns), "airport-patterns")
@@ -172,8 +194,11 @@ func BenchmarkFig14gAirport(b *testing.B) {
 func BenchmarkFig14hHospital(b *testing.B) {
 	env := sharedEnv()
 	var r experiments.Fig14hResult
+	var err error
 	for i := 0; i < b.N; i++ {
-		r = env.Fig14h(benchParams())
+		if r, err = env.Fig14h(benchParams()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(r.HospitalPatterns), "hospital-patterns")
 	b.ReportMetric(r.CheckinShareNY*100, "ny-medical-checkin-%")
@@ -187,23 +212,27 @@ func BenchmarkFig14hHospital(b *testing.B) {
 // matches the unjittered one.
 func BenchmarkAblationVotingVsNearest(b *testing.B) {
 	env := sharedEnv()
-	d := env.Pipeline.Diagram()
+	d, err := env.Pipeline.DiagramCtx(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
 	voting := recognize.NewCSDRecognizer(d)
 	nearest := recognize.NewNearestPOIRecognizer(env.City.POIs, 100, env.Cfg.Index)
 	proj := env.City.Proj
 
 	stability := func(r recognize.Recognizer) float64 {
+		var sc recognize.Scratch
 		same, total := 0, 0
 		for s := 0; s < 20; s++ {
 			anchor := env.City.Sites[s].Center
-			ref := r.Recognize(anchor)
+			ref := r.RecognizeBuf(anchor, &sc)
 			if ref.IsEmpty() {
 				continue
 			}
 			m := proj.ToMeters(anchor)
 			for k := 0; k < 10; k++ {
 				jit := geo.Meters{X: m.X + float64(k%5-2)*12, Y: m.Y + float64(k/5-1)*12}
-				if r.Recognize(proj.ToPoint(jit)) == ref {
+				if r.RecognizeBuf(proj.ToPoint(jit), &sc) == ref {
 					same++
 				}
 				total++
@@ -233,12 +262,13 @@ func BenchmarkAblationVotingVsNearest(b *testing.B) {
 // single-purpose venues near them drops.
 func BenchmarkAblationPurification(b *testing.B) {
 	env := sharedEnv()
-	stays := env.Pipeline.StayPoints()
+	stays := core.Stays(env.Pipeline.Journeys())
 	paramsOn := core.DefaultConfig().CSD
 	paramsOff := paramsOn
 	paramsOff.SkipPurification = true
 
 	accuracy := func(r recognize.Recognizer) float64 {
+		var sc recognize.Scratch
 		var sum float64
 		n := 0
 		for s := 0; s < len(env.City.Sites); s++ {
@@ -247,7 +277,7 @@ func BenchmarkAblationPurification(b *testing.B) {
 			for _, mj := range site.Majors {
 				truth = truth.Add(mj)
 			}
-			got := r.Recognize(site.Center)
+			got := r.RecognizeBuf(site.Center, &sc)
 			if got.IsEmpty() {
 				continue
 			}
@@ -289,7 +319,7 @@ func BenchmarkAblationPurification(b *testing.B) {
 // enabled and disabled (fragmentation).
 func BenchmarkAblationMerging(b *testing.B) {
 	env := sharedEnv()
-	stays := env.Pipeline.StayPoints()
+	stays := core.Stays(env.Pipeline.Journeys())
 	on := core.DefaultConfig().CSD
 	off := on
 	off.SkipMerging = true
@@ -308,10 +338,18 @@ func BenchmarkAblationMerging(b *testing.B) {
 func BenchmarkAblationOpticsVsDBSCAN(b *testing.B) {
 	env := sharedEnv()
 	params := benchParams()
+	ctx := context.Background()
 	var optics, dbscan metrics.Summary
 	for i := 0; i < b.N; i++ {
-		optics = metrics.Summarize(env.Pipeline.Mine(core.CSDPM, params))
-		dbscan = metrics.Summarize(env.Pipeline.Mine(core.CSDSDBSCAN, params))
+		ps, err := env.Pipeline.MineCtx(ctx, core.CSDPM, params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		optics = metrics.Summarize(ps)
+		if ps, err = env.Pipeline.MineCtx(ctx, core.CSDSDBSCAN, params); err != nil {
+			b.Fatal(err)
+		}
+		dbscan = metrics.Summarize(ps)
 	}
 	b.ReportMetric(float64(optics.NumPatterns), "optics-patterns")
 	b.ReportMetric(float64(dbscan.NumPatterns), "dbscan-patterns")
@@ -322,7 +360,7 @@ func BenchmarkAblationOpticsVsDBSCAN(b *testing.B) {
 func BenchmarkIndexComparison(b *testing.B) {
 	env := sharedEnv()
 	pts := poi.Locations(env.City.POIs)
-	stays := env.Pipeline.StayPoints()
+	stays := core.Stays(env.Pipeline.Journeys())
 	for _, kind := range []index.Kind{index.KindGrid, index.KindKDTree, index.KindRTree} {
 		b.Run(kind.String(), func(b *testing.B) {
 			idx := index.New(kind, pts, 100)
@@ -360,13 +398,21 @@ func mineBench(workers int) func(*testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.Workers = workers
 	env := experiments.SetupConfig(benchScale(), cfg)
-	env.Pipeline.Database(core.RecCSD)
 	params := benchParams()
 	return func(b *testing.B) {
+		ctx := context.Background()
+		if _, err := env.Pipeline.DatabaseCtx(ctx, core.RecCSD); err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		var n int
 		for i := 0; i < b.N; i++ {
-			n = len(env.Pipeline.Mine(core.CSDPM, params))
+			ps, err := env.Pipeline.MineCtx(ctx, core.CSDPM, params)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n = len(ps)
 		}
 		b.ReportMetric(float64(n), "patterns")
 	}
@@ -387,8 +433,11 @@ func BenchmarkEndToEndCSDPM(b *testing.B) {
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
-		miner := NewMiner(city.POIs, w.Journeys, DefaultConfig())
-		n = len(miner.Mine(CSDPM, params))
+		ps, err := NewMiner(city.POIs, w.Journeys, DefaultConfig()).Mine(context.Background(), CSDPM, params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n = len(ps)
 	}
 	b.ReportMetric(float64(n), "patterns")
 }
@@ -400,11 +449,19 @@ func BenchmarkEndToEndCSDPM(b *testing.B) {
 func BenchmarkAblationSemanticFree(b *testing.B) {
 	env := sharedEnv()
 	params := benchParams()
-	db := env.Pipeline.Database(core.RecCSD)
+	ctx := context.Background()
+	db, err := env.Pipeline.DatabaseCtx(ctx, core.RecCSD)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var csdpm, tpat int
 	for i := 0; i < b.N; i++ {
-		csdpm = len(env.Pipeline.Mine(core.CSDPM, params))
-		ps, err := pattern.NewTPattern().Extract(stage.Background(), db, params)
+		ps, err := env.Pipeline.MineCtx(ctx, core.CSDPM, params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		csdpm = len(ps)
+		ps, err = pattern.NewTPattern().Extract(stage.Background(), db, params)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -122,29 +123,41 @@ func main() {
 
 	var stages []stageTiming
 	w := os.Stdout
-	run := func(name string, fn func()) {
+	run := func(name string, fn func() error) {
 		if *exp != "all" && *exp != name {
 			return
 		}
 		t0 := time.Now()
-		fn()
+		if err := fn(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			os.Exit(1)
+		}
 		secs := time.Since(t0).Seconds()
 		stages = append(stages, stageTiming{Name: name, Seconds: secs})
 		fmt.Fprintf(w, "[%s done in %.1fs]\n", name, secs)
 	}
+	sweep := func(figure string, fig func() (experiments.SweepResult, error)) func() error {
+		return func() error {
+			r, err := fig()
+			if err == nil {
+				experiments.RenderSweep(w, figure, r)
+			}
+			return err
+		}
+	}
 
-	run("table1", func() { env.RenderTable1(w) })
-	run("table3", func() { env.RenderTable3(w) })
-	run("fig6", func() { env.RenderFig6(w) })
-	run("fig8", func() { env.RenderFig8(w) })
-	run("fig9", func() { env.RenderFig9(w, params) })
-	run("fig10", func() { env.RenderFig10(w, params) })
-	run("fig11", func() { experiments.RenderSweep(w, "Figure 11", env.Fig11()) })
-	run("fig12", func() { experiments.RenderSweep(w, "Figure 12", env.Fig12()) })
-	run("fig13", func() { experiments.RenderSweep(w, "Figure 13", env.Fig13()) })
-	run("fig14", func() { env.RenderFig14(w, params) })
-	run("fig14g", func() { env.RenderFig14g(w, params) })
-	run("fig14h", func() { env.RenderFig14h(w, params) })
+	run("table1", func() error { env.RenderTable1(w); return nil })
+	run("table3", func() error { env.RenderTable3(w); return nil })
+	run("fig6", func() error { _, err := env.RenderFig6(w); return err })
+	run("fig8", func() error { env.RenderFig8(w); return nil })
+	run("fig9", func() error { _, err := env.RenderFig9(w, params); return err })
+	run("fig10", func() error { _, err := env.RenderFig10(w, params); return err })
+	run("fig11", sweep("Figure 11", env.Fig11))
+	run("fig12", sweep("Figure 12", env.Fig12))
+	run("fig13", sweep("Figure 13", env.Fig13))
+	run("fig14", func() error { _, err := env.RenderFig14(w, params); return err })
+	run("fig14g", func() error { _, err := env.RenderFig14g(w, params); return err })
+	run("fig14h", func() error { _, err := env.RenderFig14h(w, params); return err })
 
 	if *svgDir != "" {
 		if err := writeSVGs(env, params, *svgDir); err != nil {
@@ -204,11 +217,15 @@ func writeSVGs(env *experiments.Env, params pattern.Params, dir string) error {
 	}
 	canvas := render.NewCanvas(env.City.Center, env.City.ExtentMeters, 900)
 
+	d, err := env.Pipeline.DiagramCtx(context.Background())
+	if err != nil {
+		return err
+	}
 	f6, err := os.Create(filepath.Join(dir, "fig6.svg"))
 	if err != nil {
 		return err
 	}
-	if err := canvas.Diagram(f6, env.Pipeline.Diagram()); err != nil {
+	if err := canvas.Diagram(f6, d); err != nil {
 		f6.Close()
 		return err
 	}
@@ -216,11 +233,15 @@ func writeSVGs(env *experiments.Env, params pattern.Params, dir string) error {
 		return err
 	}
 
+	ps, err := env.Pipeline.MineCtx(context.Background(), core.CSDPM, params)
+	if err != nil {
+		return err
+	}
 	f14, err := os.Create(filepath.Join(dir, "fig14.svg"))
 	if err != nil {
 		return err
 	}
-	if err := canvas.Patterns(f14, env.Pipeline.Mine(core.CSDPM, params)); err != nil {
+	if err := canvas.Patterns(f14, ps); err != nil {
 		f14.Close()
 		return err
 	}

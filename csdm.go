@@ -105,12 +105,16 @@ func NewMiner(pois []POI, journeys []Journey, cfg Config) *Miner {
 }
 
 // Diagram returns the City Semantic Diagram, building it on first use.
-func (m *Miner) Diagram() *Diagram { return m.pipeline.Diagram() }
+// A canceled ctx aborts the build with ctx.Err(); a later call
+// rebuilds.
+func (m *Miner) Diagram(ctx context.Context) (*Diagram, error) {
+	return m.pipeline.DiagramCtx(ctx)
+}
 
 // EnableTrace attaches a fresh telemetry trace to the miner and
 // returns it; every pipeline stage run afterwards records spans and
-// counters. Call before the first Diagram, Mine or Database call —
-// already-built artifacts are not re-traced.
+// counters. Call before the first Diagram, Database, Recognize or
+// Mine call — already-built artifacts are not re-traced.
 func (m *Miner) EnableTrace() *Trace {
 	tr := obs.New()
 	m.pipeline.SetTrace(tr)
@@ -123,54 +127,42 @@ func (m *Miner) Trace() *Trace { return m.pipeline.Trace() }
 
 // UseDiagram installs a pre-built diagram (e.g. loaded with
 // ReadDiagram) instead of constructing one; it must be called before
-// the first Diagram, Mine or Database call.
+// the first Diagram, Database, Recognize or Mine call.
 func (m *Miner) UseDiagram(d *Diagram) { m.pipeline.UseDiagram(d) }
 
 // ReadDiagram loads a diagram serialized with (*Diagram).Write.
 func ReadDiagram(r io.Reader) (*Diagram, error) { return csd.Read(r) }
 
 // Mine runs one approach end to end and returns its fine-grained
-// patterns.
-func (m *Miner) Mine(a Approach, params MiningParams) []Pattern {
-	return m.pipeline.Mine(a, params)
-}
-
-// LastErr returns the most recent error one of the no-error
-// convenience methods (Diagram, Database, Mine, MineAll) swallowed,
-// nil when none has failed. Prefer the Context variants for real
-// error handling; this accessor makes a wrapper's failure diagnosable
-// instead of an unexplained nil result.
-func (m *Miner) LastErr() error { return m.pipeline.LastErr() }
-
-// MineContext is Mine under a cancellation context: the pipeline runs
-// on the configured worker pool and a canceled ctx aborts promptly with
-// ctx.Err().
-func (m *Miner) MineContext(ctx context.Context, a Approach, params MiningParams) ([]Pattern, error) {
+// patterns. The pipeline runs on the configured worker pool and a
+// canceled ctx aborts promptly with ctx.Err().
+func (m *Miner) Mine(ctx context.Context, a Approach, params MiningParams) ([]Pattern, error) {
 	return m.pipeline.MineCtx(ctx, a, params)
 }
 
-// MineAll runs all six approaches under the same parameters, keyed by
-// the approach's paper name (e.g. "CSD-PM").
-func (m *Miner) MineAll(params MiningParams) map[string][]Pattern {
-	return m.pipeline.MineAll(params)
-}
-
-// MineAllContext runs all six approaches under the shared worker budget
-// and a cancellation context, returning results in Approaches() order.
-func (m *Miner) MineAllContext(ctx context.Context, params MiningParams) ([]ApproachResult, error) {
+// MineAll runs all six approaches under the shared worker budget,
+// returning results in Approaches() order. Each result carries its own
+// approach's error; the returned error is non-nil only when ctx is
+// canceled.
+func (m *Miner) MineAll(ctx context.Context, params MiningParams) ([]ApproachResult, error) {
 	return m.pipeline.MineAllCtx(ctx, params)
 }
 
 // Database returns the annotated semantic-trajectory database built by
 // the given approach's recognizer.
-func (m *Miner) Database(a Approach) []SemanticTrajectory {
-	return m.pipeline.Database(a.Recognizer)
+func (m *Miner) Database(ctx context.Context, a Approach) ([]SemanticTrajectory, error) {
+	return m.pipeline.DatabaseCtx(ctx, a.Recognizer)
 }
 
 // Recognize returns the semantic property the City Semantic Diagram
-// assigns to a stay at p (Algorithm 3).
-func (m *Miner) Recognize(p Point) Semantics {
-	return recognize.NewCSDRecognizer(m.pipeline.Diagram()).Recognize(p)
+// assigns to a stay at p (Algorithm 3), building the diagram on first
+// use.
+func (m *Miner) Recognize(ctx context.Context, p Point) (Semantics, error) {
+	d, err := m.pipeline.DiagramCtx(ctx)
+	if err != nil {
+		return 0, err
+	}
+	return recognize.NewCSDRecognizer(d).RecognizeBuf(p, new(recognize.Scratch)), nil
 }
 
 // Summarize computes the paper's four evaluation metrics — pattern

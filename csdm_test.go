@@ -1,6 +1,8 @@
 package csdm
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -22,18 +24,29 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	w := city.GenerateWorkload()
 	miner := NewMiner(city.POIs, w.Journeys, DefaultConfig())
+	ctx := context.Background()
 
-	d := miner.Diagram()
+	d, err := miner.Diagram(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(d.Units) == 0 {
 		t.Fatal("no units")
 	}
-	if got := miner.Recognize(city.Hospital); !got.Has(poi.MedicalService) {
+	got, err := miner.Recognize(ctx, city.Hospital)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Has(poi.MedicalService) {
 		t.Fatalf("hospital recognized as %v", got)
 	}
 
 	params := DefaultMiningParams()
 	params.Sigma = 15
-	ps := miner.Mine(CSDPM, params)
+	ps, err := miner.Mine(ctx, CSDPM, params)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ps) == 0 {
 		t.Fatal("no patterns")
 	}
@@ -49,8 +62,37 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatalf("consistency = %v", sc)
 		}
 	}
-	if db := miner.Database(CSDPM); len(db) == 0 {
-		t.Fatal("empty database")
+	if db, err := miner.Database(ctx, CSDPM); err != nil || len(db) == 0 {
+		t.Fatalf("database: %d trajectories, err = %v", len(db), err)
+	}
+}
+
+// TestFacadeCanceledContext: every Miner operation returns the
+// context's error, not an empty result, when its ctx is canceled.
+func TestFacadeCanceledContext(t *testing.T) {
+	cfg := DefaultCityConfig()
+	cfg.NumPOIs = 300
+	cfg.NumPassengers = 20
+	cfg.Days = 1
+	city := GenerateCity(cfg)
+	miner := NewMiner(city.POIs, city.GenerateWorkload().Journeys, DefaultConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	if _, err := miner.Diagram(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("Diagram: err = %v, want context.Canceled", err)
+	}
+	if _, err := miner.Database(ctx, CSDPM); !errors.Is(err, context.Canceled) {
+		t.Errorf("Database: err = %v, want context.Canceled", err)
+	}
+	if _, err := miner.Recognize(ctx, city.Hospital); !errors.Is(err, context.Canceled) {
+		t.Errorf("Recognize: err = %v, want context.Canceled", err)
+	}
+	if _, err := miner.Mine(ctx, CSDPM, DefaultMiningParams()); !errors.Is(err, context.Canceled) {
+		t.Errorf("Mine: err = %v, want context.Canceled", err)
+	}
+	if _, err := miner.MineAll(ctx, DefaultMiningParams()); !errors.Is(err, context.Canceled) {
+		t.Errorf("MineAll: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -27,7 +27,10 @@
 //	city := csdm.GenerateCity(csdm.DefaultCityConfig())
 //	journeys := city.GenerateWorkload().Journeys
 //	miner := csdm.NewMiner(city.POIs, journeys, csdm.DefaultConfig())
-//	patterns := miner.Mine(csdm.CSDPM, csdm.DefaultMiningParams())
+//	patterns, err := miner.Mine(context.Background(), csdm.CSDPM, csdm.DefaultMiningParams())
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	fmt.Println(csdm.Summarize(patterns))
 //
 // See the examples directory for richer scenarios, and cmd/experiments

@@ -5,7 +5,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"csdm"
 	"csdm/internal/geo"
@@ -25,13 +27,20 @@ func main() {
 
 	params := csdm.DefaultMiningParams()
 	params.Sigma = 25
-	patterns := miner.Mine(csdm.CSDPM, params)
+	ctx := context.Background()
+	patterns, err := miner.Mine(ctx, csdm.CSDPM, params)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Hospital flows fan out from many residential origins, so each
 	// origin-hospital pair is thin; drill down with a lower threshold.
 	drill := params
 	drill.Sigma = 12
-	drillPatterns := miner.Mine(csdm.CSDPM, drill)
+	drillPatterns, err := miner.Mine(ctx, csdm.CSDPM, drill)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// --- Figure 14(g): the airport hotspot -------------------------
 	airportTrips := 0

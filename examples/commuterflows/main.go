@@ -5,7 +5,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"sort"
 
 	"csdm"
@@ -26,7 +28,10 @@ func main() {
 	for _, bucket := range core.TimeBuckets() {
 		js := core.FilterJourneys(workload.Journeys, bucket)
 		miner := csdm.NewMiner(city.POIs, js, csdm.DefaultConfig())
-		patterns := miner.Mine(csdm.CSDPM, params)
+		patterns, err := miner.Mine(context.Background(), csdm.CSDPM, params)
+		if err != nil {
+			log.Fatal(err)
+		}
 		s := csdm.Summarize(patterns)
 		fmt.Printf("%-18s %6d journeys  %4d patterns  coverage %5d\n",
 			bucket, len(js), s.NumPatterns, s.Coverage)

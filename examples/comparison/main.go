@@ -4,7 +4,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"time"
 
 	"csdm"
@@ -23,16 +25,22 @@ func main() {
 	params.Sigma = 25
 
 	t0 := time.Now()
-	results := miner.MineAll(params)
+	results, err := miner.MineAll(context.Background(), params)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("mined %d journeys with all six approaches in %.1fs\n\n",
 		len(workload.Journeys), time.Since(t0).Seconds())
 
 	fmt.Printf("%-13s %10s %10s %14s %14s\n",
 		"approach", "#patterns", "coverage", "sparsity (m)", "consistency")
-	for _, a := range csdm.Approaches() {
-		s := csdm.Summarize(results[a.String()])
+	for _, r := range results {
+		if r.Err != nil {
+			log.Fatalf("%s: %v", r.Approach, r.Err)
+		}
+		s := csdm.Summarize(r.Patterns)
 		fmt.Printf("%-13s %10d %10d %14.1f %14.3f\n",
-			a, s.NumPatterns, s.Coverage, s.MeanSparsity, s.MeanConsistency)
+			r.Approach, s.NumPatterns, s.Coverage, s.MeanSparsity, s.MeanConsistency)
 	}
 	fmt.Println("\nExpected shape (paper §5): CSD-based rows have lower sparsity and")
 	fmt.Println("semantic consistency pinned near 1.0; ROI-based rows are sparser and")

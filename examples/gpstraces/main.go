@@ -54,8 +54,11 @@ func main() {
 	// Stage 1–2: build the CSD from the detected stay points and
 	// recognize every stay (semantic absence resolved).
 	miner := csdm.NewMiner(city.POIs, workload.Journeys, csdm.DefaultConfig())
-	rec := recognize.NewCSDRecognizer(miner.Diagram())
-	if err := recognize.AnnotateCtx(context.Background(), db, rec, 0); err != nil {
+	d, err := miner.Diagram(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := recognize.AnnotateCtx(context.Background(), db, recognize.NewCSDRecognizer(d), 0); err != nil {
 		log.Fatal(err)
 	}
 	annotated := 0

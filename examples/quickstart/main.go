@@ -4,7 +4,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"sort"
 
 	"csdm"
@@ -23,18 +25,33 @@ func main() {
 
 	// The miner builds the City Semantic Diagram lazily on first use.
 	miner := csdm.NewMiner(city.POIs, workload.Journeys, csdm.DefaultConfig())
-	d := miner.Diagram()
+	ctx := context.Background()
+	d, err := miner.Diagram(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("CSD: %d fine-grained semantic units, %.0f%% POI coverage, %.3f mean purity\n",
 		len(d.Units), d.Coverage()*100, d.MeanUnitPurity())
 
 	// Ask the diagram about a location (Algorithm 3's voting).
-	fmt.Printf("semantics at the hospital: %s\n", miner.Recognize(city.Hospital))
-	fmt.Printf("semantics at the airport:  %s\n", miner.Recognize(city.Airport))
+	hospital, err := miner.Recognize(ctx, city.Hospital)
+	if err != nil {
+		log.Fatal(err)
+	}
+	airport, err := miner.Recognize(ctx, city.Airport)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("semantics at the hospital: %s\n", hospital)
+	fmt.Printf("semantics at the airport:  %s\n", airport)
 
 	// Mine fine-grained patterns. σ is scaled to the small workload.
 	params := csdm.DefaultMiningParams()
 	params.Sigma = 25
-	patterns := miner.Mine(csdm.CSDPM, params)
+	patterns, err := miner.Mine(ctx, csdm.CSDPM, params)
+	if err != nil {
+		log.Fatal(err)
+	}
 	s := csdm.Summarize(patterns)
 	fmt.Printf("\nCSD-PM: %d patterns, coverage %d, avg sparsity %.1f m, avg consistency %.3f\n",
 		s.NumPatterns, s.Coverage, s.MeanSparsity, s.MeanConsistency)

@@ -54,7 +54,7 @@ func TestDeltaSpeedupFloor(t *testing.T) {
 	}
 	const reps = 3
 	env := sharedEnv()
-	stays := env.Pipeline.StayPoints()
+	stays := core.Stays(env.Pipeline.Journeys())
 	params := core.DefaultConfig().CSD
 	batch := len(stays) / 100
 	base, delta := stays[:len(stays)-batch], stays[len(stays)-batch:]

@@ -50,17 +50,12 @@ func (r Result) NoiseCount() int {
 // DBSCAN runs density-based spatial clustering over pts with
 // neighborhood radius eps (meters) and core threshold minPts (a point is
 // a core point when its eps-neighborhood, itself included, holds at
-// least minPts points).
-func DBSCAN(pts []geo.Point, eps float64, minPts int) Result {
-	return DBSCANWith(pts, eps, minPts, exec.Options{})
-}
-
-// DBSCANWith is DBSCAN with execution-layer options: the spatial index
-// backend comes from opt.Index. Each point's eps-neighborhood is
-// queried once, when cluster growth visits it, into one reused buffer,
-// so the working set is one neighborhood plus a queue of at most one
-// entry per point. The labeling does not depend on opt.Workers.
-func DBSCANWith(pts []geo.Point, eps float64, minPts int, opt exec.Options) Result {
+// least minPts points). The spatial index backend comes from
+// opt.Index. Each point's eps-neighborhood is queried once, when
+// cluster growth visits it, into one reused buffer, so the working set
+// is one neighborhood plus a queue of at most one entry per point. The
+// labeling does not depend on opt.Workers.
+func DBSCAN(pts []geo.Point, eps float64, minPts int, opt exec.Options) Result {
 	labels := make([]int, len(pts))
 	for i := range labels {
 		labels[i] = Noise

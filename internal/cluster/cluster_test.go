@@ -44,7 +44,7 @@ func sameCluster(r Result, i, j int) bool {
 func TestDBSCANFindsThreeBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := threeBlobs(rng)
-	r := DBSCAN(pts, 100, 5)
+	r := DBSCAN(pts, 100, 5, exec.Options{})
 	if r.NumClusters != 3 {
 		t.Fatalf("NumClusters = %d, want 3", r.NumClusters)
 	}
@@ -69,21 +69,21 @@ func TestDBSCANMarksOutliersNoise(t *testing.T) {
 	pts := blob(rng, 40, 0, 0, 10)
 	outlier := pr.ToPoint(geo.Meters{X: 5000, Y: 5000})
 	pts = append(pts, outlier)
-	r := DBSCAN(pts, 80, 4)
+	r := DBSCAN(pts, 80, 4, exec.Options{})
 	if r.Labels[len(pts)-1] != Noise {
 		t.Fatalf("outlier labeled %d, want Noise", r.Labels[len(pts)-1])
 	}
 }
 
 func TestDBSCANDegenerateInputs(t *testing.T) {
-	if r := DBSCAN(nil, 100, 5); len(r.Labels) != 0 || r.NumClusters != 0 {
+	if r := DBSCAN(nil, 100, 5, exec.Options{}); len(r.Labels) != 0 || r.NumClusters != 0 {
 		t.Error("empty input should produce empty result")
 	}
 	pts := []geo.Point{origin, origin}
-	if r := DBSCAN(pts, 0, 5); r.NumClusters != 0 {
+	if r := DBSCAN(pts, 0, 5, exec.Options{}); r.NumClusters != 0 {
 		t.Error("eps=0 should cluster nothing")
 	}
-	if r := DBSCAN(pts, 100, 0); r.NumClusters != 0 {
+	if r := DBSCAN(pts, 100, 0, exec.Options{}); r.NumClusters != 0 {
 		t.Error("minPts=0 should cluster nothing")
 	}
 }
@@ -93,7 +93,7 @@ func TestDBSCANAllPointsLabeledProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%100 + 1
 		pts := blob(rng, n, 0, 0, 200)
-		r := DBSCAN(pts, 60, 3)
+		r := DBSCAN(pts, 60, 3, exec.Options{})
 		if len(r.Labels) != n {
 			return false
 		}
@@ -119,7 +119,7 @@ func TestDBSCANAllPointsLabeledProperty(t *testing.T) {
 func TestOpticsExtractMatchesDBSCANOnBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := threeBlobs(rng)
-	opt := Optics(pts, 300, 5)
+	opt := Optics(pts, 300, 5, exec.Options{})
 	if len(opt.Order) != len(pts) {
 		t.Fatalf("OPTICS order covers %d of %d points", len(opt.Order), len(pts))
 	}
@@ -127,7 +127,7 @@ func TestOpticsExtractMatchesDBSCANOnBlobs(t *testing.T) {
 	if r.NumClusters != 3 {
 		t.Fatalf("OPTICS-extracted clusters = %d, want 3", r.NumClusters)
 	}
-	d := DBSCAN(pts, 100, 5)
+	d := DBSCAN(pts, 100, 5, exec.Options{})
 	// The partitions should agree up to label permutation: check pairwise
 	// co-membership on a sample.
 	for trial := 0; trial < 200; trial++ {
@@ -139,11 +139,11 @@ func TestOpticsExtractMatchesDBSCANOnBlobs(t *testing.T) {
 }
 
 func TestOpticsEmptyAndTiny(t *testing.T) {
-	if o := Optics(nil, 100, 5); len(o.Order) != 0 {
+	if o := Optics(nil, 100, 5, exec.Options{}); len(o.Order) != 0 {
 		t.Error("empty OPTICS should have empty order")
 	}
 	pts := []geo.Point{origin}
-	o := Optics(pts, 100, 5)
+	o := Optics(pts, 100, 5, exec.Options{})
 	if len(o.Order) != 1 {
 		t.Fatalf("one-point OPTICS order = %v", o.Order)
 	}
@@ -152,7 +152,7 @@ func TestOpticsEmptyAndTiny(t *testing.T) {
 func TestOpticsReachabilityInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pts := threeBlobs(rng)
-	o := Optics(pts, 300, 5)
+	o := Optics(pts, 300, 5, exec.Options{})
 	seen := make([]bool, len(pts))
 	for _, i := range o.Order {
 		if seen[i] {
@@ -175,7 +175,7 @@ func TestOpticsReachabilityInvariants(t *testing.T) {
 func TestMeanShiftThreeBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts := threeBlobs(rng)
-	r := MeanShift(pts, 150)
+	r := MeanShift(pts, 150, exec.Options{})
 	if r.NumClusters != 3 {
 		t.Fatalf("MeanShift clusters = %d, want 3", r.NumClusters)
 	}
@@ -201,17 +201,17 @@ func TestMeanShiftThreeBlobs(t *testing.T) {
 func TestMeanShiftSingleBlobOneCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	pts := blob(rng, 80, 0, 0, 30)
-	r := MeanShift(pts, 200)
+	r := MeanShift(pts, 200, exec.Options{})
 	if r.NumClusters != 1 {
 		t.Fatalf("MeanShift single blob clusters = %d, want 1", r.NumClusters)
 	}
 }
 
 func TestMeanShiftDegenerate(t *testing.T) {
-	if r := MeanShift(nil, 100); len(r.Labels) != 0 {
+	if r := MeanShift(nil, 100, exec.Options{}); len(r.Labels) != 0 {
 		t.Error("empty MeanShift should return no labels")
 	}
-	r := MeanShift([]geo.Point{origin}, 0)
+	r := MeanShift([]geo.Point{origin}, 0, exec.Options{})
 	if r.Labels[0] != Noise {
 		t.Error("bandwidth=0 should label noise")
 	}
@@ -221,7 +221,7 @@ func TestMembersPartitionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		pts := blob(rng, 60, 0, 0, 300)
-		r := DBSCAN(pts, 50, 3)
+		r := DBSCAN(pts, 50, 3, exec.Options{})
 		members := r.Members()
 		total := 0
 		for _, m := range members {
@@ -242,7 +242,7 @@ func BenchmarkDBSCAN1k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DBSCAN(pts, 80, 5)
+		DBSCAN(pts, 80, 5, exec.Options{})
 	}
 }
 
@@ -254,7 +254,7 @@ func BenchmarkOptics1k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Optics(pts, 200, 5)
+		Optics(pts, 200, 5, exec.Options{})
 	}
 }
 
@@ -263,7 +263,7 @@ func BenchmarkMeanShift300(b *testing.B) {
 	pts := threeBlobs(rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MeanShift(pts, 150)
+		MeanShift(pts, 150, exec.Options{})
 	}
 }
 
@@ -273,7 +273,7 @@ func TestOpticsExtractLeavesSeparatesAdjacentBlobs(t *testing.T) {
 	// merge them; per-cluster extraction must keep them separate.
 	pts := blob(rng, 60, 0, 0, 12)
 	pts = append(pts, blob(rng, 60, 150, 0, 12)...)
-	r := Optics(pts, 500, 10).ExtractLeaves(10)
+	r := Optics(pts, 500, 10, exec.Options{}).ExtractLeaves(10)
 	if r.NumClusters != 2 {
 		t.Fatalf("ExtractLeaves clusters = %d, want 2", r.NumClusters)
 	}
@@ -306,7 +306,7 @@ func TestOpticsExtractLeavesSeparatesAdjacentBlobs(t *testing.T) {
 func TestOpticsExtractLeavesSingleBlob(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	pts := blob(rng, 80, 0, 0, 25)
-	r := Optics(pts, 500, 10).ExtractLeaves(10)
+	r := Optics(pts, 500, 10, exec.Options{}).ExtractLeaves(10)
 	if r.NumClusters != 1 {
 		t.Fatalf("single blob leaves = %d, want 1", r.NumClusters)
 	}
@@ -318,7 +318,7 @@ func TestOpticsExtractLeavesSingleBlob(t *testing.T) {
 func TestOpticsExtractLeavesSubMinPtsIsNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	pts := blob(rng, 5, 0, 0, 10) // below minPts
-	r := Optics(pts, 500, 10).ExtractLeaves(10)
+	r := Optics(pts, 500, 10, exec.Options{}).ExtractLeaves(10)
 	if r.NumClusters != 0 {
 		t.Fatalf("clusters = %d, want 0", r.NumClusters)
 	}
@@ -414,7 +414,7 @@ func TestKeepSmallestMatchesSort(t *testing.T) {
 func TestExtractLeavesLabelsAreConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pts := threeBlobs(rng)
-	r := Optics(pts, 500, 10).ExtractLeaves(10)
+	r := Optics(pts, 500, 10, exec.Options{}).ExtractLeaves(10)
 	// Labels within [Noise, NumClusters); every cluster non-empty.
 	seen := make(map[int]int)
 	for _, l := range r.Labels {
@@ -443,13 +443,13 @@ func TestOpticsParallelDeterminism(t *testing.T) {
 	pts := threeBlobs(rng)
 	pts = append(pts, blob(rng, 30, 500, 500, 400)...) // sparse bridge
 
-	ref := OpticsWith(pts, 300, 5, exec.Options{Workers: 1})
+	ref := Optics(pts, 300, 5, exec.Options{Workers: 1})
 	for _, opt := range []exec.Options{
 		{Workers: 8},
 		{Workers: 3},
 		{Workers: 8},
 	} {
-		got := OpticsWith(pts, 300, 5, opt)
+		got := Optics(pts, 300, 5, opt)
 		if len(got.Order) != len(ref.Order) {
 			t.Fatalf("workers=%d: order length %d != %d", opt.Workers, len(got.Order), len(ref.Order))
 		}
@@ -471,7 +471,7 @@ func TestOpticsParallelDeterminism(t *testing.T) {
 	// Repeated runs must not leak state between invocations.
 	opt := exec.Options{Workers: 4}
 	for run := 0; run < 3; run++ {
-		got := OpticsWith(pts, 300, 5, opt)
+		got := Optics(pts, 300, 5, opt)
 		for i := range ref.Reach {
 			if math.Float64bits(got.Reach[i]) != math.Float64bits(ref.Reach[i]) {
 				t.Fatalf("run %d: pooled Reach[%d] diverged", run, i)

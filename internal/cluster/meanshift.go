@@ -22,17 +22,12 @@ const meanShiftMaxIter = 100
 // bandwidth neighborhood until it moves less than 1% of the bandwidth,
 // and points whose modes land within half a bandwidth of each other are
 // merged into one cluster. This is the top-down refinement strategy the
-// Splitter baseline uses to break coarse patterns apart.
-func MeanShift(pts []geo.Point, bandwidth float64) MeanShiftResult {
-	return MeanShiftWith(pts, bandwidth, exec.Options{})
-}
-
-// MeanShiftWith is MeanShift with execution-layer options: each point's
+// Splitter baseline uses to break coarse patterns apart. Each point's
 // hill-climb is independent, so the climbs fan out over opt's worker
 // pool (modes[i] is point i's converged mode regardless of schedule);
 // the greedy mode merge that follows stays sequential. The clustering
 // is identical for any worker budget.
-func MeanShiftWith(pts []geo.Point, bandwidth float64, opt exec.Options) MeanShiftResult {
+func MeanShift(pts []geo.Point, bandwidth float64, opt exec.Options) MeanShiftResult {
 	n := len(pts)
 	labels := make([]int, n)
 	if n == 0 || bandwidth <= 0 {

@@ -30,17 +30,12 @@ type OpticsResult struct {
 }
 
 // Optics computes the OPTICS ordering of pts with the given generating
-// maximum radius maxEps (meters) and core threshold minPts.
-func Optics(pts []geo.Point, maxEps float64, minPts int) *OpticsResult {
-	return OpticsWith(pts, maxEps, minPts, exec.Options{})
-}
-
-// OpticsWith is Optics with execution-layer options: the spatial index
-// backend comes from opt.Index. Each point's neighborhood is queried
-// once, when the walk processes it, into one reused buffer, so the
-// working set is one neighborhood rather than all of them. The
+// maximum radius maxEps (meters) and core threshold minPts. The spatial
+// index backend comes from opt.Index. Each point's neighborhood is
+// queried once, when the walk processes it, into one reused buffer, so
+// the working set is one neighborhood rather than all of them. The
 // ordering and reachability plot do not depend on opt.Workers.
-func OpticsWith(pts []geo.Point, maxEps float64, minPts int, opt exec.Options) *OpticsResult {
+func Optics(pts []geo.Point, maxEps float64, minPts int, opt exec.Options) *OpticsResult {
 	n := len(pts)
 	res := &OpticsResult{
 		pts:      pts,

@@ -164,7 +164,7 @@ func TestOpticsMatchesPrecomputedReference(t *testing.T) {
 				for _, eps := range []float64{12, 40, 300} {
 					t.Run(fmt.Sprintf("%s/%v/minPts=%d/eps=%g", name, kind, minPts, eps), func(t *testing.T) {
 						want := refOptics(pts, eps, minPts, kind)
-						got := OpticsWith(pts, eps, minPts, exec.Options{Index: kind})
+						got := Optics(pts, eps, minPts, exec.Options{Index: kind})
 						if len(got.Order) != len(want.Order) {
 							t.Fatalf("order length %d, want %d", len(got.Order), len(want.Order))
 						}
@@ -197,7 +197,7 @@ func TestDBSCANMatchesPrecomputedReference(t *testing.T) {
 			for _, minPts := range []int{1, 2, 20} {
 				for _, eps := range []float64{12, 40, 300} {
 					want := refDBSCAN(pts, eps, minPts, kind)
-					got := DBSCANWith(pts, eps, minPts, exec.Options{Index: kind})
+					got := DBSCAN(pts, eps, minPts, exec.Options{Index: kind})
 					if got.NumClusters != want.NumClusters {
 						t.Fatalf("%s/%v/minPts=%d/eps=%g: %d clusters, want %d", name, kind, minPts, eps, got.NumClusters, want.NumClusters)
 					}

@@ -2,35 +2,28 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
 
-	"csdm/internal/obs"
+	"csdm/internal/fault"
 	"csdm/internal/pattern"
 	"csdm/internal/synth"
 )
 
-// TestSilentWrapperErrorsAreObservable: the no-error convenience
-// wrappers no longer swallow failures invisibly — each failure bumps
-// core.silent.errors and is returned by LastErr.
-func TestSilentWrapperErrorsAreObservable(t *testing.T) {
+// TestMineCtxReturnsInjectedExtractError: an extraction fault reaches
+// the MineCtx caller as its error, with no patterns alongside it.
+func TestMineCtxReturnsInjectedExtractError(t *testing.T) {
 	p := faultPipeline(t, DefaultConfig())
-	tr := obs.New()
-	p.SetTrace(tr)
 	activateFault(t, "core.extract:error:*")
 
-	if p.LastErr() != nil {
-		t.Fatal("LastErr before any failure")
+	ps, err := p.MineCtx(context.Background(), CSDPM, testMiningParams())
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("MineCtx under an extraction fault: err = %v, want the injected error", err)
 	}
-	if ps := p.Mine(CSDPM, testMiningParams()); ps != nil {
-		t.Fatalf("Mine returned %d patterns under an extraction fault", len(ps))
-	}
-	if p.LastErr() == nil {
-		t.Fatal("Mine swallowed its error without recording it")
-	}
-	if got := tr.Counter("core.silent.errors"); got != 1 {
-		t.Fatalf("core.silent.errors = %d, want 1", got)
+	if ps != nil {
+		t.Fatalf("MineCtx returned %d patterns with its error", len(ps))
 	}
 }
 

@@ -12,7 +12,7 @@
 // sites, checkpoint resume/save (SetCheckpoints), and retry-safe
 // memoization. core declares the graph and the mining policy — the
 // degraded-fallback ladder and the per-approach failure isolation of
-// MineAll — and nothing else.
+// MineAllCtx — and nothing else.
 package core
 
 import (
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"csdm/internal/ckpt"
@@ -127,10 +126,10 @@ type Config struct {
 	// database annotation, per-approach extraction — with its own
 	// deadline. A stage that overruns fails with an error wrapping
 	// context.DeadlineExceeded while the run's own context stays live,
-	// so one stuck stage cannot hang a whole MineAll. Zero disables
+	// so one stuck stage cannot hang a whole MineAllCtx. Zero disables
 	// stage deadlines.
 	StageTimeout time.Duration
-	// DegradedFallback lets MineAll degrade instead of fail: when the
+	// DegradedFallback lets MineAllCtx degrade instead of fail: when the
 	// CSD build or its annotation errors out (or hits StageTimeout),
 	// the CSD-recognizer approaches rerun on the ROI hot-region
 	// database and their results are flagged Degraded, trading the
@@ -183,15 +182,11 @@ type Pipeline struct {
 	roi        *stage.Cell[*recognize.ROIRecognizer]
 	dbCSD      *stage.Cell[[]trajectory.SemanticTrajectory]
 	dbROI      *stage.Cell[[]trajectory.SemanticTrajectory]
-
-	// lastErr keeps the most recent error a no-error convenience
-	// wrapper swallowed, for LastErr.
-	lastErr atomic.Pointer[error]
 }
 
 // SetTrace attaches a telemetry trace; every stage built afterwards
-// records spans and counters on it. Attach before the first Diagram,
-// Database or Mine call — already-built artifacts are not re-traced.
+// records spans and counters on it. Attach before the first build —
+// already-built artifacts are not re-traced.
 func (p *Pipeline) SetTrace(t *obs.Trace) { p.trace = t }
 
 // Trace returns the attached telemetry trace (nil when tracing is off).
@@ -316,58 +311,15 @@ func NewPipeline(pois []poi.POI, journeys []trajectory.Journey, cfg Config) *Pip
 	return p
 }
 
-// noteSilent records an error a no-error convenience wrapper is about
-// to swallow: counted on the trace as core.silent.errors and kept for
-// LastErr, so the failure stays observable.
-func (p *Pipeline) noteSilent(err error) {
-	if err == nil {
-		return
-	}
-	p.trace.Add("core.silent.errors", 1)
-	p.lastErr.Store(&err)
-}
-
-// LastErr returns the most recent error swallowed by one of the
-// no-error convenience wrappers (StayPoints, Diagram, ROIRecognizer,
-// Database, Mine, MineAll); nil when none has failed. Every swallowed
-// error is also counted on the trace as core.silent.errors. Callers
-// that need real error handling should prefer the Ctx variants — this
-// accessor exists so a wrapper's failure is diagnosable instead of an
-// unexplained nil result.
-func (p *Pipeline) LastErr() error {
-	if e := p.lastErr.Load(); e != nil {
-		return *e
-	}
-	return nil
-}
-
 // Stages returns the introspection records of the declared stage graph
 // (name, dependencies, fault site, checkpoint artifact and file, build
 // origin, last build error), in declaration order.
 func (p *Pipeline) Stages() []stage.Info { return p.graph.Stages() }
 
-// StayPoints returns the pick-up/drop-off locations of every journey
-// (built once; the popularity model and ROI detection share them). A
-// build failure surfaces via LastErr and core.silent.errors.
-func (p *Pipeline) StayPoints() []geo.Point {
-	stays, err := p.stays.Get(context.Background())
-	p.noteSilent(err)
-	return stays
-}
-
-// Diagram returns the City Semantic Diagram, building it on first use.
-// A build failure yields nil and surfaces via LastErr and the
-// core.silent.errors counter; use DiagramCtx to handle it directly.
-func (p *Pipeline) Diagram() *csd.Diagram {
-	d, err := p.DiagramCtx(context.Background())
-	p.noteSilent(err)
-	return d
-}
-
-// DiagramCtx is Diagram under a cancellation context: a canceled ctx
-// aborts an in-flight build with ctx.Err() without poisoning the cell —
-// a later call rebuilds. With Config.StageTimeout set the build runs
-// under its own stage deadline.
+// DiagramCtx returns the City Semantic Diagram, building it on first
+// use. A canceled ctx aborts an in-flight build with ctx.Err() without
+// poisoning the cell — a later call rebuilds. With Config.StageTimeout
+// set the build runs under its own stage deadline.
 func (p *Pipeline) DiagramCtx(ctx context.Context) (*csd.Diagram, error) {
 	return p.diagram.Get(ctx)
 }
@@ -377,8 +329,8 @@ func (p *Pipeline) DiagramCtx(ctx context.Context) (*csd.Diagram, error) {
 func (p *Pipeline) DiagramOrigin() stage.Origin { return p.diagram.Origin() }
 
 // UseDiagram installs a pre-built (e.g. deserialized) diagram instead
-// of constructing one. It must be called before the first Diagram or
-// Database call; afterwards it has no effect.
+// of constructing one. It must be called before the first DiagramCtx
+// or DatabaseCtx call; afterwards it has no effect.
 func (p *Pipeline) UseDiagram(d *csd.Diagram) { p.diagram.Set(d) }
 
 // databaseCell maps a recognizer kind to its database stage.
@@ -400,25 +352,8 @@ func (p *Pipeline) DatabaseOrigin(kind RecognizerKind) stage.Origin {
 	return p.databaseCell(kind).Origin()
 }
 
-// ROIRecognizer returns the hot-region baseline recognizer, building it
-// on first use. A build failure surfaces via LastErr.
-func (p *Pipeline) ROIRecognizer() *recognize.ROIRecognizer {
-	r, err := p.roi.Get(context.Background())
-	p.noteSilent(err)
-	return r
-}
-
-// Database returns the annotated semantic-trajectory database for the
-// given recognizer kind, building it on first use. A build failure
-// yields nil and surfaces via LastErr and the core.silent.errors
-// counter; use DatabaseCtx to handle it directly.
-func (p *Pipeline) Database(kind RecognizerKind) []trajectory.SemanticTrajectory {
-	db, err := p.DatabaseCtx(context.Background(), kind)
-	p.noteSilent(err)
-	return db
-}
-
-// DatabaseCtx is Database under a cancellation context; annotation runs
+// DatabaseCtx returns the annotated semantic-trajectory database for
+// the given recognizer kind, building it on first use. Annotation runs
 // on the configured worker pool, under its own stage deadline when
 // Config.StageTimeout is set (the upstream diagram or ROI detection is
 // its own stage with its own deadline). A canceled ctx aborts with
@@ -439,15 +374,6 @@ func extractor(kind ExtractorKind) pattern.Extractor {
 	}
 }
 
-// Mine runs one approach end to end under the given mining parameters.
-// A failure yields nil and surfaces via LastErr and the
-// core.silent.errors counter; use MineCtx to handle it directly.
-func (p *Pipeline) Mine(a Approach, params pattern.Params) []pattern.Pattern {
-	ps, err := p.MineCtx(context.Background(), a, params)
-	p.noteSilent(err)
-	return ps
-}
-
 // extract runs one approach's extraction as a one-shot engine stage —
 // span "stage.extract.<approach>", the approach's own deadline under
 // Config.StageTimeout, and the "core.extract" fault site guarding the
@@ -464,8 +390,8 @@ func (p *Pipeline) extract(ctx context.Context, a Approach, db []trajectory.Sema
 	return ps, err
 }
 
-// MineCtx is Mine under a cancellation context: recognition and
-// extraction run on the configured worker pool and a canceled ctx
+// MineCtx runs one approach end to end under the given mining
+// parameters: recognition and extraction run on the configured worker pool and a canceled ctx
 // aborts with ctx.Err(). With Config.DegradedFallback set, a CSD
 // approach whose database fails falls back to the ROI database
 // (counted as core.approach.degraded), same as in MineAllCtx.
@@ -476,9 +402,9 @@ func (p *Pipeline) MineCtx(ctx context.Context, a Approach, params pattern.Param
 	return res.Patterns, res.Err
 }
 
-// ApproachResult pairs an approach with its mined patterns. Since a
-// MineAll no longer aborts on the first failing approach, the result
-// carries that approach's own error and degradation state.
+// ApproachResult pairs an approach with its mined patterns. A
+// MineAllCtx does not abort on the first failing approach, so the
+// result carries that approach's own error and degradation state.
 type ApproachResult struct {
 	Approach Approach
 	Patterns []pattern.Pattern
@@ -488,22 +414,6 @@ type ApproachResult struct {
 	// Degraded marks a CSD approach that fell back to ROI recognition
 	// under Config.DegradedFallback after the CSD artifacts failed.
 	Degraded bool
-}
-
-// MineAll runs all six approaches under the same mining parameters; the
-// result is keyed by the approach's paper name. Failed approaches are
-// omitted (each surfaces via LastErr and core.silent.errors); degraded
-// ones are included under their original name.
-func (p *Pipeline) MineAll(params pattern.Params) map[string][]pattern.Pattern {
-	res, err := p.MineAllCtx(context.Background(), params)
-	p.noteSilent(err)
-	out := make(map[string][]pattern.Pattern, len(res))
-	for _, r := range res {
-		if r.Err == nil {
-			out[r.Approach.String()] = r.Patterns
-		}
-	}
-	return out
 }
 
 // MineAllCtx runs all six approaches under the shared worker budget:
@@ -521,7 +431,7 @@ func (p *Pipeline) MineAllCtx(ctx context.Context, params pattern.Params) ([]App
 	// A snapshot of the two annotated databases. Building them exactly
 	// once up front keeps the fan-out from racing on the stage cells
 	// and — deliberately — from retrying a failed build six times:
-	// within one MineAll, a database either exists or is failed.
+	// within one MineAllCtx, a database either exists or is failed.
 	dbs := make(map[RecognizerKind][]trajectory.SemanticTrajectory)
 	errs := make(map[RecognizerKind]error)
 	for _, kind := range []RecognizerKind{RecCSD, RecROI} {
@@ -569,7 +479,7 @@ func (p *Pipeline) MineAllCtx(ctx context.Context, params pattern.Params) ([]App
 }
 
 // mineOne runs one approach on the database that database returns for
-// its recognizer: MineCtx builds it on demand, a MineAll fan-out reads
+// its recognizer: MineCtx builds it on demand, a MineAllCtx fan-out reads
 // its snapshot. Errors land in the result's Err (panic isolation
 // is the engine's job — stage.RunEach recovers a panicking slot into
 // its own *exec.PanicError).

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"csdm/internal/csd"
 	"csdm/internal/metrics"
 	"csdm/internal/pattern"
+	"csdm/internal/recognize"
+	"csdm/internal/stage"
 	"csdm/internal/synth"
 	"csdm/internal/trajectory"
 )
@@ -30,6 +34,52 @@ func testMiningParams() pattern.Params {
 	return p
 }
 
+// mustDiagram, mustDatabase, mustMine and mustMineAll run a stage on a
+// background context and fail the test on its error.
+func mustDiagram(t testing.TB, p *Pipeline) *csd.Diagram {
+	t.Helper()
+	d, err := p.DiagramCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func mustDatabase(t testing.TB, p *Pipeline, kind RecognizerKind) []trajectory.SemanticTrajectory {
+	t.Helper()
+	db, err := p.DatabaseCtx(context.Background(), kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+func mustMine(t testing.TB, p *Pipeline, a Approach, params pattern.Params) []pattern.Pattern {
+	t.Helper()
+	ps, err := p.MineCtx(context.Background(), a, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
+// mustMineAll keys each approach's patterns by its paper name.
+func mustMineAll(t testing.TB, p *Pipeline, params pattern.Params) map[string][]pattern.Pattern {
+	t.Helper()
+	res, err := p.MineAllCtx(context.Background(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]pattern.Pattern, len(res))
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Approach, r.Err)
+		}
+		out[r.Approach.String()] = r.Patterns
+	}
+	return out
+}
+
 func TestApproachNames(t *testing.T) {
 	want := []string{"CSD-PM", "ROI-PM", "CSD-Splitter", "ROI-Splitter", "CSD-SDBSCAN", "ROI-SDBSCAN"}
 	got := Approaches()
@@ -47,18 +97,19 @@ func TestPipelineEndToEnd(t *testing.T) {
 	p := buildPipeline(t)
 	params := testMiningParams()
 
-	d := p.Diagram()
+	d := mustDiagram(t, p)
 	if len(d.Units) == 0 {
 		t.Fatal("no semantic units built")
 	}
-	if p.ROIRecognizer().NumRegions() == 0 {
+	roi := recognize.NewROIRecognizerEnv(stage.Background(), Stays(p.Journeys()), p.POIs(), p.cfg.ROI)
+	if roi.NumRegions() == 0 {
 		t.Fatal("no hot regions detected")
 	}
-	if len(p.Database(RecCSD)) == 0 || len(p.Database(RecROI)) == 0 {
+	if len(mustDatabase(t, p, RecCSD)) == 0 || len(mustDatabase(t, p, RecROI)) == 0 {
 		t.Fatal("empty annotated databases")
 	}
 
-	results := p.MineAll(params)
+	results := mustMineAll(t, p, params)
 	if len(results) != 6 {
 		t.Fatalf("results = %d approaches", len(results))
 	}
@@ -79,7 +130,7 @@ func TestCSDConsistencyBeatsROI(t *testing.T) {
 	// consistency near 1 while ROI-based ones are lower and wider.
 	p := buildPipeline(t)
 	params := testMiningParams()
-	results := p.MineAll(params)
+	results := mustMineAll(t, p, params)
 
 	for _, ext := range []string{"PM", "Splitter", "SDBSCAN"} {
 		csdRes := metrics.Summarize(results["CSD-"+ext])
@@ -105,7 +156,7 @@ func TestCSDSparsityBeatsROI(t *testing.T) {
 	// (lower spatial sparsity) than their ROI counterparts, and ROI
 	// exhibits the sparse tail.
 	p := buildPipeline(t)
-	results := p.MineAll(testMiningParams())
+	results := mustMineAll(t, p, testMiningParams())
 	for _, ext := range []string{"PM", "Splitter", "SDBSCAN"} {
 		csdRes := metrics.Summarize(results["CSD-"+ext])
 		roiRes := metrics.Summarize(results["ROI-"+ext])
@@ -124,9 +175,9 @@ func TestSupportThresholdTradeoff(t *testing.T) {
 	// Figure 11's trend: raising σ lowers pattern count and coverage.
 	p := buildPipeline(t)
 	params := testMiningParams()
-	low := metrics.Summarize(p.Mine(CSDPM, params))
+	low := metrics.Summarize(mustMine(t, p, CSDPM, params))
 	params.Sigma *= 3
-	high := metrics.Summarize(p.Mine(CSDPM, params))
+	high := metrics.Summarize(mustMine(t, p, CSDPM, params))
 	if high.NumPatterns > low.NumPatterns {
 		t.Errorf("σ↑ should not raise #patterns: %d -> %d", low.NumPatterns, high.NumPatterns)
 	}
@@ -137,14 +188,14 @@ func TestSupportThresholdTradeoff(t *testing.T) {
 
 func TestDatabasesAreCached(t *testing.T) {
 	p := buildPipeline(t)
-	db1 := p.Database(RecCSD)
-	db2 := p.Database(RecCSD)
+	db1 := mustDatabase(t, p, RecCSD)
+	db2 := mustDatabase(t, p, RecCSD)
 	if &db1[0] != &db2[0] {
-		t.Fatal("Database(RecCSD) rebuilt instead of cached")
+		t.Fatal("DatabaseCtx(RecCSD) rebuilt instead of cached")
 	}
-	d1, d2 := p.Diagram(), p.Diagram()
+	d1, d2 := mustDiagram(t, p), mustDiagram(t, p)
 	if d1 != d2 {
-		t.Fatal("Diagram rebuilt instead of cached")
+		t.Fatal("DiagramCtx rebuilt instead of cached")
 	}
 }
 

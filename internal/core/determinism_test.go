@@ -41,10 +41,10 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	params := testMiningParams()
 
 	var seqDiagram, parDiagram bytes.Buffer
-	if err := seq.Diagram().Write(&seqDiagram); err != nil {
+	if err := mustDiagram(t, seq).Write(&seqDiagram); err != nil {
 		t.Fatal(err)
 	}
-	if err := par.Diagram().Write(&parDiagram); err != nil {
+	if err := mustDiagram(t, par).Write(&parDiagram); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(seqDiagram.Bytes(), parDiagram.Bytes()) {
@@ -52,7 +52,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	}
 
 	for _, kind := range []RecognizerKind{RecCSD, RecROI} {
-		if !reflect.DeepEqual(seq.Database(kind), par.Database(kind)) {
+		if !reflect.DeepEqual(mustDatabase(t, seq, kind), mustDatabase(t, par, kind)) {
 			t.Fatalf("database %d differs between Workers=1 and Workers=8", kind)
 		}
 	}

@@ -13,11 +13,11 @@ func TestPipelineEmptyInputs(t *testing.T) {
 	params := pattern.DefaultParams()
 
 	empty := NewPipeline(nil, nil, DefaultConfig())
-	if d := empty.Diagram(); len(d.Units) != 0 {
+	if d := mustDiagram(t, empty); len(d.Units) != 0 {
 		t.Fatal("units from nothing")
 	}
 	for _, a := range Approaches() {
-		if ps := empty.Mine(a, params); len(ps) != 0 {
+		if ps := mustMine(t, empty, a, params); len(ps) != 0 {
 			t.Fatalf("%v mined %d patterns from nothing", a, len(ps))
 		}
 	}
@@ -31,13 +31,13 @@ func TestPipelinePOIsWithoutJourneys(t *testing.T) {
 	city := synth.NewCity(cfg)
 	p := NewPipeline(city.POIs, nil, DefaultConfig())
 	// The CSD builds (popularity all zero), mining yields nothing.
-	d := p.Diagram()
+	d := mustDiagram(t, p)
 	for _, pop := range d.Pop {
 		if pop != 0 {
 			t.Fatal("popularity without stay points")
 		}
 	}
-	if ps := p.Mine(CSDPM, pattern.DefaultParams()); len(ps) != 0 {
+	if ps := mustMine(t, p, CSDPM, pattern.DefaultParams()); len(ps) != 0 {
 		t.Fatal("patterns without journeys")
 	}
 }
@@ -51,14 +51,14 @@ func TestPipelineJourneysWithoutPOIs(t *testing.T) {
 	w := city.GenerateWorkload()
 	p := NewPipeline(nil, w.Journeys, DefaultConfig())
 	// Without POIs, no stay can be annotated and no pattern can form.
-	for _, st := range p.Database(RecCSD) {
+	for _, st := range mustDatabase(t, p, RecCSD) {
 		for _, sp := range st.Stays {
 			if !sp.S.IsEmpty() {
 				t.Fatal("annotation without POIs")
 			}
 		}
 	}
-	if ps := p.Mine(CSDPM, pattern.DefaultParams()); len(ps) != 0 {
+	if ps := mustMine(t, p, CSDPM, pattern.DefaultParams()); len(ps) != 0 {
 		t.Fatal("patterns without POIs")
 	}
 }
@@ -73,15 +73,15 @@ func TestUseDiagramWins(t *testing.T) {
 	city := synth.NewCity(cfg)
 	w := city.GenerateWorkload()
 
-	built := NewPipeline(city.POIs, w.Journeys, DefaultConfig()).Diagram()
+	built := mustDiagram(t, NewPipeline(city.POIs, w.Journeys, DefaultConfig()))
 	p := NewPipeline(city.POIs, w.Journeys, DefaultConfig())
 	p.UseDiagram(built)
-	if p.Diagram() != built {
+	if mustDiagram(t, p) != built {
 		t.Fatal("UseDiagram did not take effect")
 	}
 }
 
-// TestMineAllConcurrentSafe runs MineAll twice and cross-checks results
+// TestMineAllConcurrentSafe runs MineAllCtx twice and cross-checks results
 // for determinism under the concurrent extraction path.
 func TestMineAllConcurrentSafe(t *testing.T) {
 	cfg := synth.DefaultConfig()
@@ -94,8 +94,8 @@ func TestMineAllConcurrentSafe(t *testing.T) {
 	params.Sigma = 10
 
 	p := NewPipeline(city.POIs, w.Journeys, DefaultConfig())
-	a := p.MineAll(params)
-	b := p.MineAll(params)
+	a := mustMineAll(t, p, params)
+	b := mustMineAll(t, p, params)
 	for name := range a {
 		if len(a[name]) != len(b[name]) {
 			t.Fatalf("%s nondeterministic: %d vs %d patterns", name, len(a[name]), len(b[name]))

@@ -17,7 +17,7 @@ func TestPipelineTrace(t *testing.T) {
 		t.Fatal("Trace() did not return the attached trace")
 	}
 
-	ps := p.Mine(CSDPM, testMiningParams())
+	ps := mustMine(t, p, CSDPM, testMiningParams())
 	if len(ps) == 0 {
 		t.Fatal("CSD-PM found no patterns")
 	}
@@ -58,13 +58,13 @@ func TestPipelineTrace(t *testing.T) {
 }
 
 // TestMineAllTraceConcurrent attaches a trace and runs all six
-// approaches concurrently via MineAll — under -race this checks the
+// approaches concurrently via MineAllCtx — under -race this checks the
 // telemetry path's thread safety across extractors.
 func TestMineAllTraceConcurrent(t *testing.T) {
 	p := buildPipeline(t)
 	tr := obs.New()
 	p.SetTrace(tr)
-	results := p.MineAll(testMiningParams())
+	results := mustMineAll(t, p, testMiningParams())
 	if len(results) != 6 {
 		t.Fatalf("results = %d approaches", len(results))
 	}

@@ -135,17 +135,13 @@ func (d *Diagram) Extent() geo.Rect {
 // Kernel returns the Gaussian kernel the diagram was built with.
 func (d *Diagram) Kernel() geo.GaussianKernel { return d.kernel }
 
-// MembersWithin returns the indices of unit-member POIs within radius
-// meters of p — the range(sp, R3σ, CSD) of Algorithm 3 (POIs outside
-// every unit do not participate in recognition).
-func (d *Diagram) MembersWithin(p geo.Point, radius float64) []int {
-	return d.MembersWithinAppend(p, radius, nil)
-}
-
-// MembersWithinAppend is MembersWithin appending into buf, under the
-// same aliasing contract as index.Index.WithinAppend: the diagram never
-// retains buf, and the caller must use the returned slice. Recognition
-// loops reuse one buffer per worker to keep Algorithm 3 allocation-free.
+// MembersWithinAppend appends the indices of unit-member POIs within
+// radius meters of p — the range(sp, R3σ, CSD) of Algorithm 3 (POIs
+// outside every unit do not participate in recognition) — into buf,
+// under the same aliasing contract as index.Index.WithinAppend: the
+// diagram never retains buf, and the caller must use the returned
+// slice. Recognition loops reuse one buffer per worker to keep
+// Algorithm 3 allocation-free.
 func (d *Diagram) MembersWithinAppend(p geo.Point, radius float64, buf []int) []int {
 	start := len(buf)
 	buf = d.MemberSlotsWithinAppend(p, radius, buf)

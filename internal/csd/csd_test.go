@@ -271,12 +271,12 @@ func TestMembersWithin(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pois := blockOf(rng, 1, poi.Restaurant, 0, 0, 10, 6)
 	d := Build(pois, uniformStays(100, 30), DefaultParams())
-	got := d.MembersWithin(origin, 100)
+	got := d.MembersWithinAppend(origin, 100, nil)
 	if len(got) != len(pois) {
-		t.Fatalf("MembersWithin = %d, want %d", len(got), len(pois))
+		t.Fatalf("MembersWithinAppend = %d, want %d", len(got), len(pois))
 	}
-	if got2 := d.MembersWithin(at(5000, 0), 100); len(got2) != 0 {
-		t.Fatalf("distant MembersWithin = %d, want 0", len(got2))
+	if got2 := d.MembersWithinAppend(at(5000, 0), 100, nil); len(got2) != 0 {
+		t.Fatalf("distant MembersWithinAppend = %d, want 0", len(got2))
 	}
 }
 
@@ -375,8 +375,8 @@ func TestBuildEmptyInputs(t *testing.T) {
 	if len(d.Units) != 0 || d.Coverage() != 0 {
 		t.Fatalf("empty build produced units")
 	}
-	if got := d.MembersWithin(origin, 100); len(got) != 0 {
-		t.Fatalf("empty MembersWithin = %v", got)
+	if got := d.MembersWithinAppend(origin, 100, nil); len(got) != 0 {
+		t.Fatalf("empty MembersWithinAppend = %v", got)
 	}
 	if d.MeanUnitPurity() != 0 {
 		t.Fatal("empty purity should be 0")

@@ -56,8 +56,8 @@ func TestDiagramRoundTrip(t *testing.T) {
 		}
 	}
 	// Queries behave identically.
-	if a, b := d.MembersWithin(origin, 100), got.MembersWithin(origin, 100); len(a) != len(b) {
-		t.Fatalf("MembersWithin: %d vs %d", len(b), len(a))
+	if a, b := d.MembersWithinAppend(origin, 100, nil), got.MembersWithinAppend(origin, 100, nil); len(a) != len(b) {
+		t.Fatalf("MembersWithinAppend: %d vs %d", len(b), len(a))
 	}
 	if got.Coverage() != d.Coverage() {
 		t.Fatalf("coverage differs")

@@ -83,14 +83,8 @@ type DeltaStats struct {
 	ReusedUnits int
 }
 
-// NewMaintainer constructs the maintainer and its initial diagram
-// (generation 1) with default execution options.
-func NewMaintainer(pois []poi.POI, stays []geo.Point, params Params) (*Maintainer, error) {
-	return NewMaintainerEnv(stage.Background(), pois, stays, params)
-}
-
-// NewMaintainerEnv is the full-control constructor: it runs BuildEnv's
-// construction — on env's worker pool and index backend, recording
+// NewMaintainerEnv constructs the maintainer and its initial diagram
+// (generation 1): it runs BuildEnv's construction — on env's worker pool and index backend, recording
 // spans under "csd.maintain" — but keeps the per-component cache
 // ApplyDelta needs. The initial diagram is bit-identical to BuildEnv's
 // on the same inputs, with Generation 1.

@@ -96,7 +96,7 @@ func TestMaintainerInitialMatchesBuild(t *testing.T) {
 	params := DefaultParams()
 	params.KeepSingletons = true
 	full := Build(city.POIs, stays, params)
-	m, err := NewMaintainer(city.POIs, stays, params)
+	m, err := NewMaintainerEnv(stage.Background(), city.POIs, stays, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestApplyDeltaEmptyBatch(t *testing.T) {
 	stays, city := maintWorkload(t)
 	params := DefaultParams()
 	params.KeepSingletons = true
-	m, err := NewMaintainer(city.POIs, stays, params)
+	m, err := NewMaintainerEnv(stage.Background(), city.POIs, stays, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestSetGenerationContinuesLineage(t *testing.T) {
 	params := DefaultParams()
 	params.KeepSingletons = true
 	batches := contiguousSplit(stays, 2)
-	m, err := NewMaintainer(city.POIs, batches[0], params)
+	m, err := NewMaintainerEnv(stage.Background(), city.POIs, batches[0], params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestApplyDeltaStatsAccounting(t *testing.T) {
 	params.KeepSingletons = true
 	params.SkipMerging = true // merge collapses units; skip it so counts line up
 	batches := contiguousSplit(stays, 2)
-	m, err := NewMaintainer(city.POIs, batches[0], params)
+	m, err := NewMaintainerEnv(stage.Background(), city.POIs, batches[0], params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,19 +89,11 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("exec: task panic: %v\n%s", e.Value, e.Stack)
 }
 
-// panics counts every recovered worker panic process-wide, feeding the
-// exec.panics telemetry counter and the debug endpoints.
-var panics atomic.Int64
-
-// Panics returns the process-wide count of recovered worker panics.
-func Panics() int64 { return panics.Load() }
-
 // NewPanicError records a recovered panic value as a *PanicError,
-// capturing the current stack and bumping the process-wide panic
-// count. Recover sites outside the pool (e.g. per-approach mining)
+// capturing the current stack and counting it on
+// csdm_exec_panics_total when SetMetrics wired a registry. Recover sites outside the pool (e.g. per-approach mining)
 // use it so every isolated panic is accounted the same way.
 func NewPanicError(v any) *PanicError {
-	panics.Add(1)
 	if m := metricsHook.Load(); m != nil {
 		m.reg.Add("csdm_exec_panics_total", 1)
 	}

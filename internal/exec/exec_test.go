@@ -129,11 +129,10 @@ func TestParallelForEmptyAndWorkerResolution(t *testing.T) {
 
 // TestPanicIsolation pins the panic contract for both the inline and
 // pooled paths: a panicking task surfaces as a *PanicError with the
-// panic value and a captured stack, the pool drains without deadlock,
-// and the process-wide panic counter advances.
+// panic value and a captured stack, and the pool drains without
+// deadlock.
 func TestPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		before := Panics()
 		err := ParallelFor(context.Background(), workers, 100, func(i int) error {
 			if i == 7 {
 				panic("kaboom")
@@ -149,9 +148,6 @@ func TestPanicIsolation(t *testing.T) {
 		}
 		if len(pe.Stack) == 0 || !strings.Contains(err.Error(), "kaboom") {
 			t.Fatalf("workers=%d: missing stack or value in %q", workers, err)
-		}
-		if Panics() <= before {
-			t.Fatalf("workers=%d: panic counter did not advance", workers)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -35,9 +36,12 @@ type Fig14BucketResult struct {
 // Fig14 mines each of the six weekly time buckets separately with
 // CSD-PM, as in the §6 demonstration. Mining per bucket uses a support
 // threshold scaled to the bucket's journey count.
-func (e *Env) Fig14(params pattern.Params) []Fig14BucketResult {
+func (e *Env) Fig14(params pattern.Params) ([]Fig14BucketResult, error) {
 	var out []Fig14BucketResult
-	d := e.Pipeline.Diagram()
+	d, err := e.Pipeline.DiagramCtx(context.Background())
+	if err != nil {
+		return nil, err
+	}
 	rec := recognize.NewCSDRecognizer(d)
 	for _, b := range core.TimeBuckets() {
 		js := core.FilterJourneys(e.Workload.Journeys, b)
@@ -49,10 +53,14 @@ func (e *Env) Fig14(params pattern.Params) []Fig14BucketResult {
 		} else {
 			bucketParams.Sigma = 2
 		}
-		// A background environment is never canceled, and cancellation
-		// is the only way annotation and extraction fail.
-		db, _ := recognize.AnnotateJourneysEnv(stage.Background(), js, trajectory.DefaultChainParams(), rec)
-		ps, _ := pattern.NewCounterpartCluster().Extract(stage.Background(), db, bucketParams)
+		db, err := recognize.AnnotateJourneysEnv(stage.Background(), js, trajectory.DefaultChainParams(), rec)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", b, err)
+		}
+		ps, err := pattern.NewCounterpartCluster().Extract(stage.Background(), db, bucketParams)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", b, err)
+		}
 		res := Fig14BucketResult{
 			Bucket:      b,
 			Journeys:    len(js),
@@ -62,7 +70,7 @@ func (e *Env) Fig14(params pattern.Params) []Fig14BucketResult {
 		}
 		out = append(out, res)
 	}
-	return out
+	return out, nil
 }
 
 // topTransitions ranks the semantic transitions of a pattern set.
@@ -101,8 +109,11 @@ func topTransitions(ps []pattern.Pattern, n int) []TransitionCount {
 }
 
 // RenderFig14 writes the §6 time-bucket demonstration.
-func (e *Env) RenderFig14(w io.Writer, params pattern.Params) []Fig14BucketResult {
-	res := e.Fig14(params)
+func (e *Env) RenderFig14(w io.Writer, params pattern.Params) ([]Fig14BucketResult, error) {
+	res, err := e.Fig14(params)
+	if err != nil {
+		return nil, err
+	}
 	header(w, "Figure 14(a–f) — patterns per weekly time bucket (CSD-PM)")
 	for _, r := range res {
 		fmt.Fprintf(w, "%-18s journeys=%6d  #patterns=%4d  coverage=%6d\n",
@@ -113,7 +124,7 @@ func (e *Env) RenderFig14(w io.Writer, params pattern.Params) []Fig14BucketResul
 	}
 	fmt.Fprintln(w, "shape check: weekday buckets are denser and more regular than weekend ones;")
 	fmt.Fprintln(w, "mornings are dominated by Residence → work-type transitions.")
-	return res
+	return res, nil
 }
 
 // Fig14gResult quantifies the airport hotspot.
@@ -125,7 +136,7 @@ type Fig14gResult struct {
 
 // Fig14g measures how much taxi demand the airport concentrates and how
 // many mined patterns point at it.
-func (e *Env) Fig14g(params pattern.Params) Fig14gResult {
+func (e *Env) Fig14g(params pattern.Params) (Fig14gResult, error) {
 	// Airport flows fan out from every neighborhood; drill down with a
 	// lower support threshold, as for the hospital demo.
 	if params.Sigma > 12 {
@@ -139,7 +150,11 @@ func (e *Env) Fig14g(params pattern.Params) Fig14gResult {
 		}
 	}
 	r.AirportShare = float64(near) / float64(max(len(e.Workload.Journeys), 1))
-	for _, p := range e.Pipeline.Mine(core.CSDPM, params) {
+	ps, err := e.Pipeline.MineCtx(context.Background(), core.CSDPM, params)
+	if err != nil {
+		return Fig14gResult{}, err
+	}
+	for _, p := range ps {
 		for _, sp := range p.Stays {
 			if geo.Haversine(sp.P, e.City.Airport) < 500 {
 				r.AirportPatterns++
@@ -148,17 +163,20 @@ func (e *Env) Fig14g(params pattern.Params) Fig14gResult {
 			}
 		}
 	}
-	return r
+	return r, nil
 }
 
 // RenderFig14g writes the airport demonstration.
-func (e *Env) RenderFig14g(w io.Writer, params pattern.Params) Fig14gResult {
-	r := e.Fig14g(params)
+func (e *Env) RenderFig14g(w io.Writer, params pattern.Params) (Fig14gResult, error) {
+	r, err := e.Fig14g(params)
+	if err != nil {
+		return r, err
+	}
 	header(w, "Figure 14(g) — airport hotspot")
 	fmt.Fprintf(w, "journeys touching the airport: %.1f%% of all records\n", r.AirportShare*100)
 	fmt.Fprintf(w, "CSD-PM patterns anchored at the airport: %d (coverage %d)\n",
 		r.AirportPatterns, r.AirportCoverage)
-	return r
+	return r, nil
 }
 
 // Fig14hResult contrasts hospital visibility in GPS patterns vs
@@ -173,7 +191,7 @@ type Fig14hResult struct {
 
 // Fig14h measures hospital-anchored patterns and the suppression of
 // medical topics in biased check-in streams.
-func (e *Env) Fig14h(params pattern.Params) Fig14hResult {
+func (e *Env) Fig14h(params pattern.Params) (Fig14hResult, error) {
 	// Hospital flows fan out from many residential origins, so each
 	// origin-hospital pair is thin; mine this demo at a lower support
 	// threshold, as a per-venue drill-down would.
@@ -186,7 +204,11 @@ func (e *Env) Fig14h(params pattern.Params) Fig14hResult {
 			r.HospitalTrips++
 		}
 	}
-	for _, p := range e.Pipeline.Mine(core.CSDPM, params) {
+	ps, err := e.Pipeline.MineCtx(context.Background(), core.CSDPM, params)
+	if err != nil {
+		return Fig14hResult{}, err
+	}
+	for _, p := range ps {
 		for _, sp := range p.Stays {
 			if geo.Haversine(sp.P, e.City.Hospital) < 400 && sp.S.Has(poi.MedicalService) {
 				r.HospitalPatterns++
@@ -199,17 +221,20 @@ func (e *Env) Fig14h(params pattern.Params) Fig14hResult {
 	tk := e.City.SampleCheckins(e.Workload.Journeys, synth.ProfileTokyo(), e.City.Seed+101, e.Cfg.Index)
 	r.CheckinShareNY = synth.MajorShare(ny, poi.MedicalService)
 	r.CheckinShareTK = synth.MajorShare(tk, poi.MedicalService)
-	return r
+	return r, nil
 }
 
 // RenderFig14h writes the hospital demonstration.
-func (e *Env) RenderFig14h(w io.Writer, params pattern.Params) Fig14hResult {
-	r := e.Fig14h(params)
+func (e *Env) RenderFig14h(w io.Writer, params pattern.Params) (Fig14hResult, error) {
+	r, err := e.Fig14h(params)
+	if err != nil {
+		return r, err
+	}
 	header(w, "Figure 14(h) — hospital patterns invisible to check-ins")
 	fmt.Fprintf(w, "taxi drop-offs at the children's hospital: %d\n", r.HospitalTrips)
 	fmt.Fprintf(w, "CSD-PM medical patterns at the hospital: %d (coverage %d)\n",
 		r.HospitalPatterns, r.HospitalCoverage)
 	fmt.Fprintf(w, "medical share of check-ins: NY-like %.2f%%, Tokyo-like %.2f%% (suppressed)\n",
 		r.CheckinShareNY*100, r.CheckinShareTK*100)
-	return r
+	return r, nil
 }

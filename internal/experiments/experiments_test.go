@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"csdm/internal/core"
 	"csdm/internal/pattern"
 	"csdm/internal/poi"
 )
@@ -37,6 +41,21 @@ func TestSetupDeterministic(t *testing.T) {
 	b := Setup(Scale{Seed: 7, NumPOIs: 500, NumPassengers: 50, Days: 2})
 	if len(a.City.POIs) != len(b.City.POIs) || len(a.Workload.Journeys) != len(b.Workload.Journeys) {
 		t.Fatal("equal scales should produce equal environments")
+	}
+}
+
+// TestStageTimeoutFailsFigures: a pipeline whose stages cannot meet
+// their deadline makes the mining figures return the stage error
+// instead of empty results.
+func TestStageTimeoutFailsFigures(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.StageTimeout = time.Nanosecond
+	e := SetupConfig(Scale{Seed: 1, NumPOIs: 300, NumPassengers: 20, Days: 1}, cfg)
+	if _, err := e.Fig9(testParams()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Fig9: err = %v, want a stage deadline error", err)
+	}
+	if _, err := e.Fig11(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Fig11: err = %v, want a stage deadline error", err)
 	}
 }
 
@@ -78,7 +97,10 @@ func TestTable3SharesMatchPaper(t *testing.T) {
 
 func TestFig6Shape(t *testing.T) {
 	e := testSetup(t)
-	r := e.Fig6()
+	r, err := e.Fig6()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Units == 0 {
 		t.Fatal("no units")
 	}
@@ -106,7 +128,10 @@ func TestFig8Shape(t *testing.T) {
 
 func TestFig9Shape(t *testing.T) {
 	e := testSetup(t)
-	r := e.Fig9(testParams())
+	r, err := e.Fig9(testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Curves) != 6 {
 		t.Fatalf("curves = %d", len(r.Curves))
 	}
@@ -129,7 +154,10 @@ func TestFig9Shape(t *testing.T) {
 
 func TestFig10Shape(t *testing.T) {
 	e := testSetup(t)
-	r := e.Fig10(testParams())
+	r, err := e.Fig10(testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	csdpm := r.Boxes["CSD-PM"]
 	roipm := r.Boxes["ROI-PM"]
 	if csdpm.Mean < 0.95 {
@@ -150,7 +178,10 @@ func TestFig10Shape(t *testing.T) {
 
 func TestSweepsMonotoneTrends(t *testing.T) {
 	e := testSetup(t)
-	r := e.Fig11()
+	r, err := e.Fig11()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Points) != 4*6 {
 		t.Fatalf("sweep points = %d", len(r.Points))
 	}
@@ -171,7 +202,10 @@ func TestSweepsMonotoneTrends(t *testing.T) {
 
 func TestFig13PlateauBeyond30Minutes(t *testing.T) {
 	e := testSetup(t)
-	r := e.Fig13()
+	r, err := e.Fig13()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The paper observes almost no fluctuation for δ_t ≥ 30 min because
 	// most trips are shorter; check CSD-PM's #patterns stabilizes.
 	var vals []int
@@ -200,7 +234,10 @@ func TestFig13PlateauBeyond30Minutes(t *testing.T) {
 
 func TestFig14WeekdayRegularity(t *testing.T) {
 	e := testSetup(t)
-	res := e.Fig14(testParams())
+	res, err := e.Fig14(testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res) != 6 {
 		t.Fatalf("buckets = %d", len(res))
 	}
@@ -230,7 +267,10 @@ func TestFig14WeekdayRegularity(t *testing.T) {
 
 func TestFig14gAirportHotspot(t *testing.T) {
 	e := testSetup(t)
-	r := e.Fig14g(testParams())
+	r, err := e.Fig14g(testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.AirportShare < 0.02 {
 		t.Errorf("airport share %.3f too small", r.AirportShare)
 	}
@@ -241,7 +281,10 @@ func TestFig14gAirportHotspot(t *testing.T) {
 
 func TestFig14hHospitalVisibleInGPSOnly(t *testing.T) {
 	e := testSetup(t)
-	r := e.Fig14h(testParams())
+	r, err := e.Fig14h(testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.HospitalTrips == 0 {
 		t.Fatal("no hospital trips generated")
 	}
@@ -260,14 +303,30 @@ func TestRenderersProduceOutput(t *testing.T) {
 	var buf bytes.Buffer
 	e.RenderTable1(&buf)
 	e.RenderTable3(&buf)
-	e.RenderFig6(&buf)
 	e.RenderFig8(&buf)
-	e.RenderFig9(&buf, params)
-	e.RenderFig10(&buf, params)
-	RenderSweep(&buf, "Figure 11", e.Fig11())
-	e.RenderFig14(&buf, params)
-	e.RenderFig14g(&buf, params)
-	e.RenderFig14h(&buf, params)
+	fig11, err := e.Fig11()
+	if err != nil {
+		t.Fatal(err)
+	}
+	RenderSweep(&buf, "Figure 11", fig11)
+	if _, err := e.RenderFig6(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RenderFig9(&buf, params); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RenderFig10(&buf, params); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RenderFig14(&buf, params); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RenderFig14g(&buf, params); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RenderFig14h(&buf, params); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	for _, want := range []string{
 		"Table 1", "Table 3", "Figure 6", "Figure 8", "Figure 9",

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -24,8 +25,11 @@ type Fig6Result struct {
 }
 
 // Fig6 builds the CSD and summarizes its units.
-func (e *Env) Fig6() Fig6Result {
-	d := e.Pipeline.Diagram()
+func (e *Env) Fig6() (Fig6Result, error) {
+	d, err := e.Pipeline.DiagramCtx(context.Background())
+	if err != nil {
+		return Fig6Result{}, err
+	}
 	r := Fig6Result{
 		Units:      len(d.Units),
 		Coverage:   d.Coverage(),
@@ -46,18 +50,21 @@ func (e *Env) Fig6() Fig6Result {
 		centers = append(centers, u.Center)
 	}
 	r.Map = asciiRaster(e, centers, 60, 24)
-	return r
+	return r, nil
 }
 
 // RenderFig6 writes the Figure 6 reproduction.
-func (e *Env) RenderFig6(w io.Writer) Fig6Result {
-	r := e.Fig6()
+func (e *Env) RenderFig6(w io.Writer) (Fig6Result, error) {
+	r, err := e.Fig6()
+	if err != nil {
+		return r, err
+	}
 	header(w, "Figure 6 — City Semantic Diagram")
 	fmt.Fprintf(w, "units=%d  POI coverage=%.1f%%  mean unit purity=%.3f  mean size=%.1f  max size=%d\n",
 		r.Units, r.Coverage*100, r.MeanPurity, r.MeanSize, r.MaxSize)
 	fmt.Fprintln(w, "unit-center density map (darker = more units):")
 	fmt.Fprintln(w, r.Map)
-	return r
+	return r, nil
 }
 
 // Fig8Result summarizes the stay points (the pick-up/drop-off map).
@@ -70,7 +77,7 @@ type Fig8Result struct {
 
 // Fig8 summarizes the workload's stay points.
 func (e *Env) Fig8() Fig8Result {
-	stays := e.Pipeline.StayPoints()
+	stays := core.Stays(e.Pipeline.Journeys())
 	return Fig8Result{
 		Journeys:    len(e.Workload.Journeys),
 		StayPoints:  len(stays),
@@ -111,22 +118,46 @@ type Fig9Result struct {
 	Summaries map[string]metrics.Summary
 }
 
+// mineAll mines with all six approaches, keyed by the approach's paper
+// name. One failed approach fails the whole figure.
+func (e *Env) mineAll(params pattern.Params) (map[string][]pattern.Pattern, error) {
+	res, err := e.Pipeline.MineAllCtx(context.Background(), params)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string][]pattern.Pattern, len(res))
+	for _, r := range res {
+		if r.Err != nil {
+			return nil, fmt.Errorf("%s: %w", r.Approach, r.Err)
+		}
+		out[r.Approach.String()] = r.Patterns
+	}
+	return out, nil
+}
+
 // Fig9 mines with all six approaches and bins pattern sparsity.
-func (e *Env) Fig9(params pattern.Params) Fig9Result {
+func (e *Env) Fig9(params pattern.Params) (Fig9Result, error) {
+	all, err := e.mineAll(params)
+	if err != nil {
+		return Fig9Result{}, err
+	}
 	r := Fig9Result{
 		Curves:    make(map[string]metrics.Histogram),
 		Summaries: make(map[string]metrics.Summary),
 	}
-	for name, ps := range e.Pipeline.MineAll(params) {
+	for name, ps := range all {
 		r.Curves[name] = metrics.SparsityHistogram(ps, 0, 5, 20)
 		r.Summaries[name] = metrics.Summarize(ps)
 	}
-	return r
+	return r, nil
 }
 
 // RenderFig9 writes the Figure 9 reproduction.
-func (e *Env) RenderFig9(w io.Writer, params pattern.Params) Fig9Result {
-	r := e.Fig9(params)
+func (e *Env) RenderFig9(w io.Writer, params pattern.Params) (Fig9Result, error) {
+	r, err := e.Fig9(params)
+	if err != nil {
+		return r, err
+	}
 	header(w, "Figure 9 — spatial-sparsity frequency distribution")
 	fmt.Fprintf(w, "bins of width 5 m over [0, 100); row = approach, column = bin count\n")
 	for _, a := range core.Approaches() {
@@ -140,7 +171,7 @@ func (e *Env) RenderFig9(w io.Writer, params pattern.Params) Fig9Result {
 		fmt.Fprintf(w, "%-13s [%s]  avg ss=%.1f m, #patterns=%d, coverage=%d\n",
 			name, strings.Join(cells, " "), s.MeanSparsity, s.NumPatterns, s.Coverage)
 	}
-	return r
+	return r, nil
 }
 
 // Fig10Result holds the semantic-consistency box plots.
@@ -149,17 +180,24 @@ type Fig10Result struct {
 }
 
 // Fig10 mines with all six approaches and computes consistency boxes.
-func (e *Env) Fig10(params pattern.Params) Fig10Result {
+func (e *Env) Fig10(params pattern.Params) (Fig10Result, error) {
+	all, err := e.mineAll(params)
+	if err != nil {
+		return Fig10Result{}, err
+	}
 	r := Fig10Result{Boxes: make(map[string]metrics.BoxStats)}
-	for name, ps := range e.Pipeline.MineAll(params) {
+	for name, ps := range all {
 		r.Boxes[name] = metrics.ConsistencyBox(ps)
 	}
-	return r
+	return r, nil
 }
 
 // RenderFig10 writes the Figure 10 reproduction.
-func (e *Env) RenderFig10(w io.Writer, params pattern.Params) Fig10Result {
-	r := e.Fig10(params)
+func (e *Env) RenderFig10(w io.Writer, params pattern.Params) (Fig10Result, error) {
+	r, err := e.Fig10(params)
+	if err != nil {
+		return r, err
+	}
 	header(w, "Figure 10 — semantic-consistency box plots")
 	fmt.Fprintf(w, "%-13s %7s %7s %7s %7s %7s %7s %5s\n", "approach", "min", "Q1", "median", "Q3", "max", "mean", "n")
 	for _, a := range core.Approaches() {
@@ -167,7 +205,7 @@ func (e *Env) RenderFig10(w io.Writer, params pattern.Params) Fig10Result {
 		fmt.Fprintf(w, "%-13s %7.3f %7.3f %7.3f %7.3f %7.3f %7.3f %5d\n",
 			a, b.Min, b.Q1, b.Median, b.Q3, b.Max, b.Mean, b.N)
 	}
-	return r
+	return r, nil
 }
 
 // asciiRaster renders points as a character raster over the city extent.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -25,14 +26,17 @@ type SweepResult struct {
 }
 
 // sweep runs all six approaches for each parameter setting produced by
-// vary.
-func (e *Env) sweep(parameter string, n int, vary func(i int, p *pattern.Params) string) SweepResult {
+// vary. One failed approach fails the whole sweep.
+func (e *Env) sweep(parameter string, n int, vary func(i int, p *pattern.Params) string) (SweepResult, error) {
 	r := SweepResult{Parameter: parameter}
 	for i := 0; i < n; i++ {
 		params := MiningParams()
 		label := vary(i, &params)
 		for _, a := range core.Approaches() {
-			ps := e.Pipeline.Mine(a, params)
+			ps, err := e.Pipeline.MineCtx(context.Background(), a, params)
+			if err != nil {
+				return SweepResult{}, fmt.Errorf("%s at %s %s: %w", a, parameter, label, err)
+			}
 			r.Points = append(r.Points, SweepPoint{
 				Approach: a.String(),
 				Value:    label,
@@ -40,11 +44,11 @@ func (e *Env) sweep(parameter string, n int, vary func(i int, p *pattern.Params)
 			})
 		}
 	}
-	return r
+	return r, nil
 }
 
 // Fig11 sweeps the support threshold σ.
-func (e *Env) Fig11() SweepResult {
+func (e *Env) Fig11() (SweepResult, error) {
 	vals := sigmaSweep()
 	return e.sweep("support σ", len(vals), func(i int, p *pattern.Params) string {
 		p.Sigma = vals[i]
@@ -53,7 +57,7 @@ func (e *Env) Fig11() SweepResult {
 }
 
 // Fig12 sweeps the density threshold ρ.
-func (e *Env) Fig12() SweepResult {
+func (e *Env) Fig12() (SweepResult, error) {
 	vals := rhoSweep()
 	return e.sweep("density ρ", len(vals), func(i int, p *pattern.Params) string {
 		p.Rho = vals[i]
@@ -62,7 +66,7 @@ func (e *Env) Fig12() SweepResult {
 }
 
 // Fig13 sweeps the temporal constraint δ_t.
-func (e *Env) Fig13() SweepResult {
+func (e *Env) Fig13() (SweepResult, error) {
 	vals := deltaSweep()
 	return e.sweep("temporal δt", len(vals), func(i int, p *pattern.Params) string {
 		p.DeltaT = vals[i]

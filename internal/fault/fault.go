@@ -270,9 +270,6 @@ var active atomic.Pointer[Injector]
 // Tests pair it with a deferred Activate(nil).
 func Activate(in *Injector) { active.Store(in) }
 
-// Active returns the process-wide injector (nil when injection is off).
-func Active() *Injector { return active.Load() }
-
 // Hit is Injector.Hit on the process-wide injector — the call sites'
 // entry point. With no injector active it costs one atomic load.
 func Hit(site string) error { return active.Load().Hit(site) }

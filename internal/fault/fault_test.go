@@ -141,9 +141,6 @@ func TestActivateGlobal(t *testing.T) {
 	if err := Hit("g"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("global Hit = %v", err)
 	}
-	if Active() != in {
-		t.Fatal("Active() lost the injector")
-	}
 	Activate(nil)
 	if err := Hit("g"); err != nil {
 		t.Fatalf("deactivated injector fired: %v", err)

@@ -174,19 +174,8 @@ func TestCentroid(t *testing.T) {
 
 func TestVarianceZeroForIdenticalPoints(t *testing.T) {
 	pts := []Point{shanghai, shanghai, shanghai}
-	if v := Variance(pts); v > 1e-20 {
-		t.Fatalf("Variance of identical points = %v", v)
-	}
 	if v := VarianceMeters(pts); v > 1e-9 {
 		t.Fatalf("VarianceMeters of identical points = %v", v)
-	}
-}
-
-func TestVarianceMatchesHandComputation(t *testing.T) {
-	pts := []Point{{Lon: 0, Lat: 0}, {Lon: 2, Lat: 0}}
-	// centroid (1,0); sum of squared deviations = 1+1 = 2; /(n-1) = 2.
-	if v := Variance(pts); math.Abs(v-2) > 1e-12 {
-		t.Fatalf("Variance = %v, want 2", v)
 	}
 }
 
@@ -199,7 +188,7 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 				Lat: 31 + math.Mod(raw[i+1], 1),
 			})
 		}
-		return Variance(pts) >= 0 && VarianceMeters(pts) >= 0
+		return VarianceMeters(pts) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -17,27 +17,11 @@ func Centroid(pts []Point) Point {
 	return Point{Lon: sLon / n, Lat: sLat / n}
 }
 
-// Variance implements Var(S) of Equation (1): the sample variance of the
-// coordinate distribution around the centroid, in squared degrees, exactly
-// as the paper defines it on raw (x, y) coordinates. It returns 0 for
-// fewer than two points.
-func Variance(pts []Point) float64 {
-	if len(pts) < 2 {
-		return 0
-	}
-	c := Centroid(pts)
-	var sum float64
-	for _, p := range pts {
-		dx := p.Lon - c.Lon
-		dy := p.Lat - c.Lat
-		sum += dx*dx + dy*dy
-	}
-	return sum / float64(len(pts)-1)
-}
-
-// VarianceMeters is Variance computed in a local metric projection,
-// returning square meters. Thresholds in meters are easier to reason
-// about than squared degrees, so the pipeline uses this variant.
+// VarianceMeters implements Var(S) of Equation (1): the sample variance
+// of the point distribution around the centroid, computed in a local
+// metric projection and returned in square meters (the paper defines it
+// on raw coordinates; thresholds in meters are easier to reason about
+// than squared degrees). It returns 0 for fewer than two points.
 func VarianceMeters(pts []Point) float64 {
 	if len(pts) < 2 {
 		return 0

@@ -55,7 +55,7 @@ func (c *CounterpartCluster) refine(pa coarsePattern, params Params, tr *obs.Tra
 		for i := range pa.stays {
 			pts[i] = pa.stays[i][k].P
 		}
-		res := cluster.OpticsWith(pts, c.OpticsMaxEps, params.Sigma, opt).ExtractLeaves(params.Sigma)
+		res := cluster.Optics(pts, c.OpticsMaxEps, params.Sigma, opt).ExtractLeaves(params.Sigma)
 		clusters[k] = res.Labels
 	}
 

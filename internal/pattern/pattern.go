@@ -154,7 +154,7 @@ func minePrefixSpan(db []trajectory.SemanticTrajectory, params Params, opt exec.
 		}
 		seqs[i] = seq
 	}
-	mined := seqpattern.MineWith(seqs, seqpattern.Config{
+	mined := seqpattern.Mine(seqs, seqpattern.Config{
 		MinSupport: params.Sigma,
 		MinLen:     params.MinLen,
 		MaxLen:     params.MaxLen,

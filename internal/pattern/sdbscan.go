@@ -34,7 +34,7 @@ func (s *SDBSCAN) Extract(env stage.Env, db []trajectory.SemanticTrajectory, par
 	}
 	return extractStages(env, s.Name(), db, params, func(pa coarsePattern) []Pattern {
 		return refineByModes(pa, params, func(pts []geo.Point) []int {
-			return cluster.DBSCANWith(pts, s.Eps, minPts, env.Opt).Labels
+			return cluster.DBSCAN(pts, s.Eps, minPts, env.Opt).Labels
 		}, env.Trace, "extract."+s.Name())
 	})
 }

@@ -142,7 +142,7 @@ func (t *TPattern) Extract(env stage.Env, db []trajectory.SemanticTrajectory, pa
 		}
 		seqs[i] = seq
 	}
-	mined := seqpattern.MineWith(seqs, seqpattern.Config{
+	mined := seqpattern.Mine(seqs, seqpattern.Config{
 		MinSupport: params.Sigma,
 		MinLen:     params.MinLen,
 		MaxLen:     params.MaxLen,

@@ -38,16 +38,9 @@ func WriteCSV(w io.Writer, ps []POI) error {
 	return cw.Error()
 }
 
-// ReadCSV parses POIs from the CSV exchange format produced by
-// WriteCSV, failing on the first malformed row.
-func ReadCSV(r io.Reader) ([]POI, error) {
-	ps, _, err := ReadCSVOptions(r, load.Options{})
-	return ps, err
-}
-
-// ReadCSVOptions parses POIs under the given failure policy. In strict
-// mode (the zero Options) the first malformed row fails the load,
-// matching ReadCSV. In lenient mode malformed rows — bad ids, unknown
+// ReadCSVOptions parses POIs from the CSV exchange format produced by
+// WriteCSV under the given failure policy. In strict mode (the zero
+// Options) the first malformed row fails the load. In lenient mode malformed rows — bad ids, unknown
 // categories, NaN/Inf/out-of-range coordinates, CSV structural damage —
 // are skipped and counted by reason, until the bad-row budget (if any)
 // is exceeded. The returned stats report exactly what was kept and

@@ -74,7 +74,7 @@ func TestReadCSVLenientSkipsAndCounts(t *testing.T) {
 
 func TestReadCSVStrictStillFailsFast(t *testing.T) {
 	text, _ := dirtyPOICSV(40)
-	if _, err := ReadCSV(strings.NewReader(text)); err == nil {
+	if _, _, err := ReadCSVOptions(strings.NewReader(text), load.Options{}); err == nil {
 		t.Fatal("strict mode accepted a dirty file")
 	}
 }
@@ -114,7 +114,7 @@ func FuzzReadPOICSV(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x00\xff\xfe"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		strictPs, _ := ReadCSV(bytes.NewReader(data))
+		strictPs, _, _ := ReadCSVOptions(bytes.NewReader(data), load.Options{})
 		lenientPs, stats, err := ReadCSVOptions(bytes.NewReader(data), load.Options{Lenient: true, MaxBadRows: 100})
 		if err == nil && len(lenientPs) != stats.Rows {
 			t.Fatalf("stats.Rows = %d but %d rows returned", stats.Rows, len(lenientPs))

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"csdm/internal/geo"
+	"csdm/internal/load"
 )
 
 func TestTaxonomyShape(t *testing.T) {
@@ -216,7 +217,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, ps); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, _, err := ReadCSVOptions(&buf, load.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +241,8 @@ func TestCSVRejectsMalformed(t *testing.T) {
 		"bad coord":  "id,name,lon,lat,minor\n1,a,999,2,Cafe\n",
 	}
 	for name, data := range cases {
-		if _, err := ReadCSV(strings.NewReader(data)); err == nil {
-			t.Errorf("%s: ReadCSV accepted malformed input", name)
+		if _, _, err := ReadCSVOptions(strings.NewReader(data), load.Options{}); err == nil {
+			t.Errorf("%s: ReadCSVOptions accepted malformed input", name)
 		}
 	}
 }

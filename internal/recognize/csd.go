@@ -27,21 +27,15 @@ func NewCSDRecognizer(d *csd.Diagram) *CSDRecognizer {
 // Name implements Recognizer.
 func (r *CSDRecognizer) Name() string { return "CSD" }
 
-// Recognize implements Recognizer (Algorithm 3 lines 5–11).
-func (r *CSDRecognizer) Recognize(p geo.Point) poi.Semantics {
-	var sc Scratch
-	return r.RecognizeBuf(p, &sc)
-}
-
-// RecognizeBuf implements Recognizer. The per-unit vote tallies
-// live in parallel slices scanned linearly — a stay point sees a
-// handful of units at most, so the scan beats a map and allocates
-// nothing. The winner rule (highest vote, lowest unit ID on ties)
-// matches the map formulation exactly: vote sums accumulate in range
-// order either way. The range order is the index's, not ascending: the
-// per-unit float sums depend on it. Each kernel weight reads the
-// member's latitude cosine from the diagram's packed member column and
-// the stay's once per call.
+// RecognizeBuf implements Recognizer (Algorithm 3 lines 5–11). The
+// per-unit vote tallies live in parallel slices scanned linearly — a
+// stay point sees a handful of units at most, so the scan beats a map
+// and allocates nothing. The winner rule (highest vote, lowest unit ID
+// on ties) matches the map formulation exactly: vote sums accumulate in
+// range order either way. The range order is the index's, not
+// ascending: the per-unit float sums depend on it. Each kernel weight
+// reads the member's latitude cosine from the diagram's packed member
+// column and the stay's once per call.
 func (r *CSDRecognizer) RecognizeBuf(p geo.Point, sc *Scratch) poi.Semantics {
 	d := r.diagram
 	kernel := d.Kernel()

@@ -33,17 +33,12 @@ func NewNearestPOIRecognizer(pois []poi.POI, radius float64, kind index.Kind) *N
 // Name implements Recognizer.
 func (r *NearestPOIRecognizer) Name() string { return "NearestPOI" }
 
-// Recognize implements Recognizer.
-func (r *NearestPOIRecognizer) Recognize(p geo.Point) poi.Semantics {
+// RecognizeBuf implements Recognizer; the nearest-neighbor query keeps
+// no scratch.
+func (r *NearestPOIRecognizer) RecognizeBuf(p geo.Point, _ *Scratch) poi.Semantics {
 	near := r.idx.Nearest(p, 1)
 	if len(near) == 1 && geo.Haversine(p, r.pois[near[0]].Location) <= r.radius {
 		return r.pois[near[0]].Semantics()
 	}
 	return 0
-}
-
-// RecognizeBuf implements Recognizer; the nearest-neighbor query keeps
-// no scratch.
-func (r *NearestPOIRecognizer) RecognizeBuf(p geo.Point, _ *Scratch) poi.Semantics {
-	return r.Recognize(p)
 }

@@ -20,10 +20,9 @@ import (
 type Recognizer interface {
 	// Name identifies the recognizer in experiment reports.
 	Name() string
-	// Recognize returns the semantic property of a stay at p; the empty
-	// set when nothing is known about the location.
-	Recognize(p geo.Point) poi.Semantics
-	// RecognizeBuf is Recognize using sc for all transient state, so
+	// RecognizeBuf returns the semantic property of a stay at p; the
+	// empty set when nothing is known about the location. It keeps all
+	// transient state in sc (a zero Scratch is ready to use), so
 	// annotation loops that thread one Scratch per worker slot allocate
 	// nothing per stay.
 	RecognizeBuf(p geo.Point, sc *Scratch) poi.Semantics

@@ -58,12 +58,12 @@ func TestCSDRecognizerPicksPopularUnit(t *testing.T) {
 	if r.Name() != "CSD" {
 		t.Fatalf("Name = %q", r.Name())
 	}
-	got := r.Recognize(origin)
+	got := r.RecognizeBuf(origin, new(Scratch))
 	if !got.Has(poi.ShopMarket) {
-		t.Fatalf("Recognize = %v, want shop unit (higher popularity, closer, more POIs)", got)
+		t.Fatalf("RecognizeBuf = %v, want shop unit (higher popularity, closer, more POIs)", got)
 	}
 	if got.Has(poi.Restaurant) {
-		t.Fatalf("Recognize = %v leaked restaurant tags from the losing unit", got)
+		t.Fatalf("RecognizeBuf = %v leaked restaurant tags from the losing unit", got)
 	}
 }
 
@@ -72,8 +72,8 @@ func TestCSDRecognizerEmptyNeighborhood(t *testing.T) {
 	pois, stays := shopVsRestaurantScene(rng)
 	d := csd.Build(pois, stays, csd.DefaultParams())
 	r := NewCSDRecognizer(d)
-	if got := r.Recognize(at(5000, 5000)); !got.IsEmpty() {
-		t.Fatalf("Recognize far away = %v, want empty", got)
+	if got := r.RecognizeBuf(at(5000, 5000), new(Scratch)); !got.IsEmpty() {
+		t.Fatalf("RecognizeBuf far away = %v, want empty", got)
 	}
 }
 
@@ -89,11 +89,11 @@ func TestCSDRecognizerStableUnderGPSNoise(t *testing.T) {
 
 	base := at(5, 0) // near the boundary region between units
 	stable := func(r Recognizer) int {
-		ref := r.Recognize(base)
+		ref := r.RecognizeBuf(base, new(Scratch))
 		same := 0
 		for i := 0; i < 100; i++ {
 			p := at(5+rng.NormFloat64()*20, rng.NormFloat64()*20)
-			if r.Recognize(p) == ref {
+			if r.RecognizeBuf(p, new(Scratch)) == ref {
 				same++
 			}
 		}
@@ -140,9 +140,9 @@ func TestROIRecognizerRegionAnnotation(t *testing.T) {
 	// tag sets depending on where they fall — pure shop tags at one
 	// end, mixed in the middle, pure restaurant tags at the other end.
 	// This is the weakness the CSD purification step exists to fix.
-	west := r.Recognize(at(0, 0))
-	mid := r.Recognize(at(125, 0))
-	east := r.Recognize(at(250, 0))
+	west := r.RecognizeBuf(at(0, 0), new(Scratch))
+	mid := r.RecognizeBuf(at(125, 0), new(Scratch))
+	east := r.RecognizeBuf(at(250, 0), new(Scratch))
 	if !west.Has(poi.ShopMarket) || west.Has(poi.Restaurant) {
 		t.Fatalf("west tags = %v, want pure shop", west)
 	}
@@ -165,12 +165,12 @@ func TestROIRecognizerUnannotatedOutsideRegions(t *testing.T) {
 		mkPOI(2, poi.MedicalService, 2000, 0), // isolated hospital, no region
 	}
 	r := NewROIRecognizerEnv(stage.Background(), stays, pois, DefaultROIParams())
-	if got := r.Recognize(origin); !got.Has(poi.Restaurant) {
+	if got := r.RecognizeBuf(origin, new(Scratch)); !got.Has(poi.Restaurant) {
 		t.Fatalf("in-region annotation = %v, want restaurant", got)
 	}
 	// Strictly per [21], only hot regions annotate: the hospital has
 	// POIs but no stay density, so recognition fails there.
-	if got := r.Recognize(at(2010, 0)); !got.IsEmpty() {
+	if got := r.RecognizeBuf(at(2010, 0), new(Scratch)); !got.IsEmpty() {
 		t.Fatalf("outside regions = %v, want empty", got)
 	}
 }
@@ -181,7 +181,7 @@ func TestROIRecognizerNoRegions(t *testing.T) {
 	if r.NumRegions() != 0 {
 		t.Fatalf("regions = %d, want 0", r.NumRegions())
 	}
-	if got := r.Recognize(origin); !got.IsEmpty() {
+	if got := r.RecognizeBuf(origin, new(Scratch)); !got.IsEmpty() {
 		t.Fatalf("no regions should mean no annotation, got %v", got)
 	}
 }
@@ -195,13 +195,13 @@ func TestNearestPOIRecognizer(t *testing.T) {
 	if r.Name() != "NearestPOI" {
 		t.Fatalf("Name = %q", r.Name())
 	}
-	if got := r.Recognize(at(10, 0)); !got.Has(poi.Restaurant) {
-		t.Fatalf("Recognize = %v", got)
+	if got := r.RecognizeBuf(at(10, 0), new(Scratch)); !got.Has(poi.Restaurant) {
+		t.Fatalf("RecognizeBuf = %v", got)
 	}
-	if got := r.Recognize(at(45, 0)); !got.Has(poi.ShopMarket) {
-		t.Fatalf("Recognize = %v", got)
+	if got := r.RecognizeBuf(at(45, 0), new(Scratch)); !got.Has(poi.ShopMarket) {
+		t.Fatalf("RecognizeBuf = %v", got)
 	}
-	if got := r.Recognize(at(500, 0)); !got.IsEmpty() {
+	if got := r.RecognizeBuf(at(500, 0), new(Scratch)); !got.IsEmpty() {
 		t.Fatalf("out of radius = %v", got)
 	}
 }

@@ -60,7 +60,7 @@ type ROIRecognizer struct {
 // structures use the env.Opt.Index backend.
 func NewROIRecognizerEnv(env stage.Env, stays []geo.Point, pois []poi.POI, params ROIParams) *ROIRecognizer {
 	opt := env.Opt
-	res := cluster.DBSCANWith(stays, params.Eps, params.MinPts, opt)
+	res := cluster.DBSCAN(stays, params.Eps, params.MinPts, opt)
 	return &ROIRecognizer{
 		params:   params,
 		stays:    stays,
@@ -89,16 +89,10 @@ func (r *ROIRecognizer) InRegion(p geo.Point) bool {
 	return false
 }
 
-// Recognize implements Recognizer: inside a hot region, the stay point
-// inherits the union of the categories of the POIs within
-// AnnotateRadius; outside every region it stays unannotated.
-func (r *ROIRecognizer) Recognize(p geo.Point) poi.Semantics {
-	var sc Scratch
-	return r.RecognizeBuf(p, &sc)
-}
-
-// RecognizeBuf implements Recognizer; sc.ids serves both the
-// region-membership and the POI range query in turn.
+// RecognizeBuf implements Recognizer: inside a hot region, the stay
+// point inherits the union of the categories of the POIs within
+// AnnotateRadius; outside every region it stays unannotated. sc.ids
+// serves both the region-membership and the POI range query in turn.
 func (r *ROIRecognizer) RecognizeBuf(p geo.Point, sc *Scratch) poi.Semantics {
 	sc.ids = r.stayIdx.WithinAppend(p, r.params.Eps, sc.ids[:0])
 	in := false

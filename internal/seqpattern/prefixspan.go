@@ -59,19 +59,14 @@ type projection struct {
 // Mine runs PrefixSpan over db and returns every frequent pattern within
 // the configured length bounds, ordered by descending support then by
 // items. Support is counted per sequence (multiple occurrences in one
-// sequence count once). It is MineWith on a single inline worker.
-func Mine(db []Sequence, cfg Config) []Pattern {
-	return MineWith(db, cfg, exec.Options{Workers: 1})
-}
-
-// MineWith is Mine with execution-layer options: the search tree is
-// partitioned by first item and the per-item subtrees are mined on
-// opt's worker pool. Each subtree is an independent DFS over its own
-// projected database, and the final ordering (support descending, then
-// items) is a total order over the unique pattern set, so the result is
-// identical — element for element — for any worker budget; a budget of
-// one reproduces the sequential DFS exactly.
-func MineWith(db []Sequence, cfg Config, opt exec.Options) []Pattern {
+// sequence count once). The search tree is partitioned by first item
+// and the per-item subtrees are mined on opt's worker pool. Each
+// subtree is an independent DFS over its own projected database, and
+// the final ordering (support descending, then items) is a total order
+// over the unique pattern set, so the result is identical — element
+// for element — for any worker budget; a budget of one reproduces the
+// sequential DFS exactly.
+func Mine(db []Sequence, cfg Config, opt exec.Options) []Pattern {
 	if cfg.MinSupport < 1 {
 		cfg.MinSupport = 1
 	}

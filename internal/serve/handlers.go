@@ -371,7 +371,7 @@ func (s *Server) handleUnits(_ context.Context, w http.ResponseWriter, r *http.R
 	if err != nil {
 		return err
 	}
-	members := d.MembersWithin(p, radius)
+	members := d.MembersWithinAppend(p, radius, nil)
 	seen := make(map[int]bool, 8)
 	units := make([]unitJSON, 0, 8)
 	for _, i := range members {

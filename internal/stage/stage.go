@@ -66,7 +66,8 @@ type Env struct {
 }
 
 // StartSpan opens a child span under the stage's span, or a root span
-// on the trace when the engine span is absent (legacy entry points).
+// on the trace when the Env carries no engine span (an Env built by
+// hand rather than by the engine).
 func (e Env) StartSpan(name string) *obs.Span {
 	if e.Span != nil {
 		return e.Span.Start(name)
@@ -75,7 +76,8 @@ func (e Env) StartSpan(name string) *obs.Span {
 }
 
 // Background returns a minimal environment — background contexts, no
-// telemetry, default execution options — for legacy wrappers and tests.
+// telemetry, default execution options — for callers that run a stage
+// body outside the engine, and for tests.
 func Background() Env {
 	return Env{Ctx: context.Background(), Run: context.Background()}
 }

@@ -46,16 +46,9 @@ func WriteJourneysCSV(w io.Writer, js []Journey) error {
 	return cw.Error()
 }
 
-// ReadJourneysCSV parses journeys written by WriteJourneysCSV, failing
-// on the first malformed row.
-func ReadJourneysCSV(r io.Reader) ([]Journey, error) {
-	js, _, err := ReadJourneysCSVOptions(r, load.Options{})
-	return js, err
-}
-
-// ReadJourneysCSVOptions parses journeys under the given failure
-// policy. In strict mode (the zero Options) the first malformed row
-// fails the load, matching ReadJourneysCSV. In lenient mode malformed
+// ReadJourneysCSVOptions parses journeys written by WriteJourneysCSV
+// under the given failure policy. In strict mode (the zero Options)
+// the first malformed row fails the load. In lenient mode malformed
 // rows — bad ids, NaN/Inf/out-of-range coordinates, unparseable
 // timestamps, negative durations, CSV structural damage — are skipped
 // and counted by reason, until the bad-row budget (if any) is

@@ -70,7 +70,7 @@ func TestReadJourneysCSVLenientSkipsAndCounts(t *testing.T) {
 
 func TestReadJourneysCSVStrictStillFailsFast(t *testing.T) {
 	text, _ := dirtyJourneyCSV(30)
-	if _, err := ReadJourneysCSV(strings.NewReader(text)); err == nil {
+	if _, _, err := ReadJourneysCSVOptions(strings.NewReader(text), load.Options{}); err == nil {
 		t.Fatal("strict mode accepted a dirty file")
 	}
 }
@@ -107,7 +107,7 @@ func FuzzReadJourneysCSV(f *testing.F) {
 	f.Add([]byte(strings.Join(journeyHeader, ",") + "\n\"bare,row\n"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		strictJs, _ := ReadJourneysCSV(bytes.NewReader(data))
+		strictJs, _, _ := ReadJourneysCSVOptions(bytes.NewReader(data), load.Options{})
 		lenientJs, stats, err := ReadJourneysCSVOptions(bytes.NewReader(data), load.Options{Lenient: true, MaxBadRows: 100})
 		if err == nil && len(lenientJs) != stats.Rows {
 			t.Fatalf("stats.Rows = %d but %d journeys returned", stats.Rows, len(lenientJs))

@@ -24,7 +24,7 @@ func TestJourneysCSVRoundTrip(t *testing.T) {
 	if err := WriteJourneysCSV(&buf, js); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJourneysCSV(&buf)
+	got, _, err := ReadJourneysCSVOptions(&buf, load.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestJourneysCSVRejectsMalformed(t *testing.T) {
 		"reversed times": valid + "1,0,121,31,2015-04-06T09:00:00Z,121,31,2015-04-06T08:00:00Z\n",
 	}
 	for name, data := range cases {
-		if _, err := ReadJourneysCSV(strings.NewReader(data)); err == nil {
+		if _, _, err := ReadJourneysCSVOptions(strings.NewReader(data), load.Options{}); err == nil {
 			t.Errorf("%s: accepted malformed input", name)
 		}
 	}

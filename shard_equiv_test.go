@@ -36,7 +36,7 @@ func TestShardedBuildEquivalence(t *testing.T) {
 	}
 	env := sharedEnv()
 	pois := env.City.POIs
-	stays := env.Pipeline.StayPoints()
+	stays := core.Stays(env.Pipeline.Journeys())
 	params := core.DefaultConfig().CSD
 	extent := geo.BoundingRect(poi.Locations(pois))
 
