@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -64,6 +65,77 @@ type timingsFile struct {
 	Trace     obs.Snapshot  `json:"trace"`
 }
 
+// exhibit is one table or figure of the paper that -exp can select.
+type exhibit struct {
+	name string
+	run  runFunc
+}
+
+// runFunc renders one exhibit; params are the -sigma/-rho/-deltat
+// mining parameters.
+type runFunc func(e *experiments.Env, w io.Writer, params pattern.Params) error
+
+// exhibits lists every exhibit in run order. It drives -exp's usage
+// string, its name check and the dispatch.
+var exhibits = []exhibit{
+	{"table1", func(e *experiments.Env, w io.Writer, _ pattern.Params) error { e.RenderTable1(w); return nil }},
+	{"table3", func(e *experiments.Env, w io.Writer, _ pattern.Params) error { e.RenderTable3(w); return nil }},
+	{"fig6", func(e *experiments.Env, w io.Writer, _ pattern.Params) error { _, err := e.RenderFig6(w); return err }},
+	{"fig8", func(e *experiments.Env, w io.Writer, _ pattern.Params) error { e.RenderFig8(w); return nil }},
+	{"fig9", mined((*experiments.Env).RenderFig9)},
+	{"fig10", mined((*experiments.Env).RenderFig10)},
+	{"fig11", sweep("Figure 11", (*experiments.Env).Fig11)},
+	{"fig12", sweep("Figure 12", (*experiments.Env).Fig12)},
+	{"fig13", sweep("Figure 13", (*experiments.Env).Fig13)},
+	{"fig14", mined((*experiments.Env).RenderFig14)},
+	{"fig14g", mined((*experiments.Env).RenderFig14g)},
+	{"fig14h", mined((*experiments.Env).RenderFig14h)},
+}
+
+// mined adapts a renderer that mines at -sigma/-rho/-deltat and
+// returns its figure's result.
+func mined[R any](render func(*experiments.Env, io.Writer, pattern.Params) (R, error)) runFunc {
+	return func(e *experiments.Env, w io.Writer, params pattern.Params) error {
+		_, err := render(e, w, params)
+		return err
+	}
+}
+
+// sweep adapts one of the parameter sweeps (Figures 11–13), which mine
+// at their own parameter grid rather than -sigma/-rho/-deltat.
+func sweep(figure string, fig func(*experiments.Env) (experiments.SweepResult, error)) runFunc {
+	return func(e *experiments.Env, w io.Writer, _ pattern.Params) error {
+		r, err := fig(e)
+		if err == nil {
+			experiments.RenderSweep(w, figure, r)
+		}
+		return err
+	}
+}
+
+// selectExhibits returns the exhibits name selects: all of them for
+// "all", else the one whose name matches exactly.
+func selectExhibits(name string) ([]exhibit, bool) {
+	if name == "all" {
+		return exhibits, true
+	}
+	for _, x := range exhibits {
+		if x.name == name {
+			return []exhibit{x}, true
+		}
+	}
+	return nil, false
+}
+
+// exhibitNames lists the names -exp accepts.
+func exhibitNames() string {
+	names := []string{"all"}
+	for _, x := range exhibits {
+		names = append(names, x.name)
+	}
+	return strings.Join(names, ", ")
+}
+
 // quantileRows flattens a snapshot's histograms into sorted rows.
 func quantileRows(snap obs.Snapshot) []quantileRow {
 	rows := make([]quantileRow, 0, len(snap.Histograms))
@@ -76,7 +148,7 @@ func quantileRows(snap obs.Snapshot) []quantileRow {
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment to run (all, table1, table3, fig6, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig14g, fig14h)")
+		exp        = flag.String("exp", "all", "experiment to run ("+exhibitNames()+")")
 		pois       = flag.Int("pois", experiments.DefaultScale().NumPOIs, "POI dataset size")
 		passengers = flag.Int("passengers", experiments.DefaultScale().NumPassengers, "commuter population")
 		days       = flag.Int("days", experiments.DefaultScale().Days, "simulated days")
@@ -91,6 +163,11 @@ func main() {
 	)
 	flag.Parse()
 
+	selected, ok := selectExhibits(*exp)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %s)\n", *exp, exhibitNames())
+		os.Exit(2)
+	}
 	scale := experiments.Scale{Seed: *seed, NumPOIs: *pois, NumPassengers: *passengers, Days: *days}
 	params := experiments.MiningParams()
 	params.Sigma = *sigma
@@ -123,41 +200,16 @@ func main() {
 
 	var stages []stageTiming
 	w := os.Stdout
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
+	for _, x := range selected {
 		t0 := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		if err := x.run(env, w, params); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", x.name, err)
 			os.Exit(1)
 		}
 		secs := time.Since(t0).Seconds()
-		stages = append(stages, stageTiming{Name: name, Seconds: secs})
-		fmt.Fprintf(w, "[%s done in %.1fs]\n", name, secs)
+		stages = append(stages, stageTiming{Name: x.name, Seconds: secs})
+		fmt.Fprintf(w, "[%s done in %.1fs]\n", x.name, secs)
 	}
-	sweep := func(figure string, fig func() (experiments.SweepResult, error)) func() error {
-		return func() error {
-			r, err := fig()
-			if err == nil {
-				experiments.RenderSweep(w, figure, r)
-			}
-			return err
-		}
-	}
-
-	run("table1", func() error { env.RenderTable1(w); return nil })
-	run("table3", func() error { env.RenderTable3(w); return nil })
-	run("fig6", func() error { _, err := env.RenderFig6(w); return err })
-	run("fig8", func() error { env.RenderFig8(w); return nil })
-	run("fig9", func() error { _, err := env.RenderFig9(w, params); return err })
-	run("fig10", func() error { _, err := env.RenderFig10(w, params); return err })
-	run("fig11", sweep("Figure 11", env.Fig11))
-	run("fig12", sweep("Figure 12", env.Fig12))
-	run("fig13", sweep("Figure 13", env.Fig13))
-	run("fig14", func() error { _, err := env.RenderFig14(w, params); return err })
-	run("fig14g", func() error { _, err := env.RenderFig14g(w, params); return err })
-	run("fig14h", func() error { _, err := env.RenderFig14h(w, params); return err })
 
 	if *svgDir != "" {
 		if err := writeSVGs(env, params, *svgDir); err != nil {
@@ -167,11 +219,6 @@ func main() {
 		fmt.Printf("wrote %s/fig6.svg and %s/fig14.svg\n", *svgDir, *svgDir)
 	}
 
-	known := "all table1 table3 fig6 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig14g fig14h"
-	if *exp != "all" && !strings.Contains(known, *exp) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %s)\n", *exp, known)
-		os.Exit(2)
-	}
 	fmt.Printf("total %.1fs\n", time.Since(start).Seconds())
 
 	if *timings != "" {

@@ -10,6 +10,7 @@ import (
 
 	"csdm/internal/exec"
 	"csdm/internal/geo"
+	"csdm/internal/index"
 )
 
 var origin = geo.Point{Lon: 121.47, Lat: 31.23}
@@ -175,7 +176,7 @@ func TestOpticsReachabilityInvariants(t *testing.T) {
 func TestMeanShiftThreeBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts := threeBlobs(rng)
-	r := MeanShift(pts, 150, exec.Options{})
+	r := MeanShift(pts, 150, index.KindGrid)
 	if r.NumClusters != 3 {
 		t.Fatalf("MeanShift clusters = %d, want 3", r.NumClusters)
 	}
@@ -201,17 +202,17 @@ func TestMeanShiftThreeBlobs(t *testing.T) {
 func TestMeanShiftSingleBlobOneCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	pts := blob(rng, 80, 0, 0, 30)
-	r := MeanShift(pts, 200, exec.Options{})
+	r := MeanShift(pts, 200, index.KindGrid)
 	if r.NumClusters != 1 {
 		t.Fatalf("MeanShift single blob clusters = %d, want 1", r.NumClusters)
 	}
 }
 
 func TestMeanShiftDegenerate(t *testing.T) {
-	if r := MeanShift(nil, 100, exec.Options{}); len(r.Labels) != 0 {
+	if r := MeanShift(nil, 100, index.KindGrid); len(r.Labels) != 0 {
 		t.Error("empty MeanShift should return no labels")
 	}
-	r := MeanShift([]geo.Point{origin}, 0, exec.Options{})
+	r := MeanShift([]geo.Point{origin}, 0, index.KindGrid)
 	if r.Labels[0] != Noise {
 		t.Error("bandwidth=0 should label noise")
 	}
@@ -263,7 +264,7 @@ func BenchmarkMeanShift300(b *testing.B) {
 	pts := threeBlobs(rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MeanShift(pts, 150, exec.Options{})
+		MeanShift(pts, 150, index.KindGrid)
 	}
 }
 

@@ -1,9 +1,6 @@
 package cluster
 
 import (
-	"context"
-
-	"csdm/internal/exec"
 	"csdm/internal/geo"
 	"csdm/internal/index"
 )
@@ -22,12 +19,11 @@ const meanShiftMaxIter = 100
 // bandwidth neighborhood until it moves less than 1% of the bandwidth,
 // and points whose modes land within half a bandwidth of each other are
 // merged into one cluster. This is the top-down refinement strategy the
-// Splitter baseline uses to break coarse patterns apart. Each point's
-// hill-climb is independent, so the climbs fan out over opt's worker
-// pool (modes[i] is point i's converged mode regardless of schedule);
-// the greedy mode merge that follows stays sequential. The clustering
-// is identical for any worker budget.
-func MeanShift(pts []geo.Point, bandwidth float64, opt exec.Options) MeanShiftResult {
+// Splitter baseline uses to break coarse patterns apart. It runs
+// sequentially: its caller already refines coarse patterns on the
+// worker pool, and a nested fan-out measured slower on two cores
+// (EXPERIMENTS.md).
+func MeanShift(pts []geo.Point, bandwidth float64, kind index.Kind) MeanShiftResult {
 	n := len(pts)
 	labels := make([]int, n)
 	if n == 0 || bandwidth <= 0 {
@@ -41,11 +37,11 @@ func MeanShift(pts []geo.Point, bandwidth float64, opt exec.Options) MeanShiftRe
 	for i, p := range pts {
 		planar[i] = proj.ToMeters(p)
 	}
-	idx := index.New(opt.Index, pts, bandwidth)
+	idx := index.New(kind, pts, bandwidth)
 	tol := bandwidth * 0.01
 
 	modes := make([]geo.Meters, n)
-	_ = exec.ParallelFor(context.Background(), opt.Workers, n, func(i int) error {
+	for i := range planar {
 		cur := planar[i]
 		for iter := 0; iter < meanShiftMaxIter; iter++ {
 			neighbors := idx.Within(proj.ToPoint(cur), bandwidth)
@@ -65,8 +61,7 @@ func MeanShift(pts []geo.Point, bandwidth float64, opt exec.Options) MeanShiftRe
 			cur = next
 		}
 		modes[i] = cur
-		return nil
-	})
+	}
 
 	// Merge modes within bandwidth/2 of each other (greedy union).
 	mergeR := bandwidth / 2

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5–§6) on the synthetic Shanghai workload. Each experiment
-// has a typed result and a text renderer; cmd/experiments and the
-// repository's benchmark suite are thin wrappers over this package.
+// has a typed result and a text renderer; cmd/experiments is a thin
+// wrapper over this package, and the package's tests gate each
+// exhibit's shape and the design ablations.
 //
 // Absolute numbers differ from the paper — the substrate is a synthetic
 // city, not 2.2×10⁷ real journeys — but each experiment reproduces the

@@ -176,25 +176,38 @@ func TestFig10Shape(t *testing.T) {
 	}
 }
 
+// TestSweepsMonotoneTrends: raising the support threshold σ (Fig. 11)
+// or the density threshold ρ (Fig. 12) only filters candidates, so for
+// each approach neither the pattern count nor the coverage may rise
+// along the sweep.
 func TestSweepsMonotoneTrends(t *testing.T) {
 	e := testSetup(t)
-	r, err := e.Fig11()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 4*6 {
-		t.Fatalf("sweep points = %d", len(r.Points))
-	}
-	// For each approach, #patterns must not increase as σ grows.
-	byApproach := map[string][]SweepPoint{}
-	for _, p := range r.Points {
-		byApproach[p.Approach] = append(byApproach[p.Approach], p)
-	}
-	for name, pts := range byApproach {
-		for i := 1; i < len(pts); i++ {
-			if pts[i].Summary.NumPatterns > pts[i-1].Summary.NumPatterns {
-				t.Errorf("%s: #patterns rose from %d to %d as σ grew",
-					name, pts[i-1].Summary.NumPatterns, pts[i].Summary.NumPatterns)
+	for _, fig := range []struct {
+		name  string
+		sweep func() (SweepResult, error)
+	}{
+		{"Fig11", e.Fig11},
+		{"Fig12", e.Fig12},
+	} {
+		r, err := fig.sweep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Points) != 4*6 {
+			t.Fatalf("%s: sweep points = %d", fig.name, len(r.Points))
+		}
+		byApproach := map[string][]SweepPoint{}
+		for _, p := range r.Points {
+			byApproach[p.Approach] = append(byApproach[p.Approach], p)
+		}
+		for name, pts := range byApproach {
+			for i := 1; i < len(pts); i++ {
+				prev, cur := pts[i-1].Summary, pts[i].Summary
+				if cur.NumPatterns > prev.NumPatterns || cur.Coverage > prev.Coverage {
+					t.Errorf("%s %s: #patterns %d→%d, coverage %d→%d as %s grew from %s to %s",
+						fig.name, name, prev.NumPatterns, cur.NumPatterns, prev.Coverage, cur.Coverage,
+						r.Parameter, pts[i-1].Value, pts[i].Value)
+				}
 			}
 		}
 	}

@@ -103,8 +103,11 @@ func extractStages(env stage.Env, name string, db []trajectory.SemanticTrajector
 	defer root.End()
 
 	sp := root.Start("prefixspan")
-	coarse := minePrefixSpan(db, params, env.Opt)
+	coarse, err := minePrefixSpan(env.Ctx, db, params, env.Opt)
 	sp.End()
+	if err != nil {
+		return nil, err
+	}
 	tr.Add("extract."+name+".coarse", int64(len(coarse)))
 
 	sp = root.Start("refine")
@@ -144,8 +147,9 @@ type coarsePattern struct {
 // semantics of Definition 7 enters later, when a finished pattern's
 // support and groups are computed over the containment closure.
 // Unannotated stays carry the empty property, which forms no frequent
-// item worth keeping: patterns containing it are dropped.
-func minePrefixSpan(db []trajectory.SemanticTrajectory, params Params, opt exec.Options) []coarsePattern {
+// item worth keeping: patterns containing it are dropped. A canceled
+// ctx aborts the search with ctx.Err().
+func minePrefixSpan(ctx context.Context, db []trajectory.SemanticTrajectory, params Params, opt exec.Options) ([]coarsePattern, error) {
 	seqs := make([]seqpattern.Sequence, len(db))
 	for i, st := range db {
 		seq := make(seqpattern.Sequence, st.Len())
@@ -154,11 +158,14 @@ func minePrefixSpan(db []trajectory.SemanticTrajectory, params Params, opt exec.
 		}
 		seqs[i] = seq
 	}
-	mined := seqpattern.Mine(seqs, seqpattern.Config{
+	mined, err := seqpattern.Mine(ctx, seqs, seqpattern.Config{
 		MinSupport: params.Sigma,
 		MinLen:     params.MinLen,
 		MaxLen:     params.MaxLen,
 	}, opt)
+	if err != nil {
+		return nil, err
+	}
 	var out []coarsePattern
 	for _, m := range mined {
 		if hasEmptyItem(m.Items) {
@@ -178,7 +185,7 @@ func minePrefixSpan(db []trajectory.SemanticTrajectory, params Params, opt exec.
 		}
 		out = append(out, cp)
 	}
-	return out
+	return out, nil
 }
 
 // refineAll refines every coarse pattern on the worker pool (coarse

@@ -31,7 +31,7 @@ func (s *Splitter) Extract(env stage.Env, db []trajectory.SemanticTrajectory, pa
 	params = params.normalized()
 	return extractStages(env, s.Name(), db, params, func(pa coarsePattern) []Pattern {
 		return refineByModes(pa, params, func(pts []geo.Point) []int {
-			return cluster.MeanShift(pts, s.Bandwidth, env.Opt).Labels
+			return cluster.MeanShift(pts, s.Bandwidth, env.Opt.Index).Labels
 		}, env.Trace, "extract."+s.Name())
 	})
 }

@@ -65,13 +65,14 @@ type projection struct {
 // the final ordering (support descending, then items) is a total order
 // over the unique pattern set, so the result is identical — element
 // for element — for any worker budget; a budget of one reproduces the
-// sequential DFS exactly.
-func Mine(db []Sequence, cfg Config, opt exec.Options) []Pattern {
+// sequential DFS exactly. A canceled ctx stops the search between
+// subtrees and returns ctx.Err().
+func Mine(ctx context.Context, db []Sequence, cfg Config, opt exec.Options) ([]Pattern, error) {
 	if cfg.MinSupport < 1 {
 		cfg.MinSupport = 1
 	}
 	if cfg.MaxLen < 1 {
-		return nil
+		return nil, nil
 	}
 	projs := make([]projection, 0, len(db))
 	for i := range db {
@@ -106,7 +107,7 @@ func Mine(db []Sequence, cfg Config, opt exec.Options) []Pattern {
 	// projection buffer per worker.
 	results := make([][]Pattern, len(items))
 	scratch := make([][]projection, exec.Slots(opt.Workers, len(items)))
-	_ = exec.ParallelForSlots(context.Background(), opt.Workers, len(items), func(slot, i int) error {
+	err := exec.ParallelForSlots(ctx, opt.Workers, len(items), func(slot, i int) error {
 		it := items[i]
 		buf := scratch[slot][:0]
 		for _, pr := range projs {
@@ -130,6 +131,9 @@ func Mine(db []Sequence, cfg Config, opt exec.Options) []Pattern {
 		results[i] = sub
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	var out []Pattern
 	for _, sub := range results {
@@ -141,7 +145,7 @@ func Mine(db []Sequence, cfg Config, opt exec.Options) []Pattern {
 		}
 		return lessItems(out[a].Items, out[b].Items)
 	})
-	return out
+	return out, nil
 }
 
 func lessItems(a, b []Item) bool {

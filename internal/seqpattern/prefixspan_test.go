@@ -1,6 +1,8 @@
 package seqpattern
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,6 +21,16 @@ func findPattern(ps []Pattern, items ...Item) *Pattern {
 	return nil
 }
 
+// mustMine runs Mine under a background context and fails tb on error.
+func mustMine(tb testing.TB, db []Sequence, cfg Config, opt exec.Options) []Pattern {
+	tb.Helper()
+	ps, err := Mine(context.Background(), db, cfg, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ps
+}
+
 func TestMineTextbookExample(t *testing.T) {
 	// Adapted from the PrefixSpan paper's running example, with
 	// single-item elements.
@@ -28,7 +40,7 @@ func TestMineTextbookExample(t *testing.T) {
 		{1, 2, 4},
 		{2, 3},
 	}
-	ps := Mine(db, Config{MinSupport: 3, MinLen: 1, MaxLen: 4}, exec.Options{Workers: 1})
+	ps := mustMine(t, db, Config{MinSupport: 3, MinLen: 1, MaxLen: 4}, exec.Options{Workers: 1})
 
 	cases := []struct {
 		items []Item
@@ -57,7 +69,7 @@ func TestMineTextbookExample(t *testing.T) {
 
 func TestMineRespectsLengthBounds(t *testing.T) {
 	db := []Sequence{{1, 2, 3}, {1, 2, 3}, {1, 2, 3}}
-	ps := Mine(db, Config{MinSupport: 2, MinLen: 2, MaxLen: 2}, exec.Options{Workers: 1})
+	ps := mustMine(t, db, Config{MinSupport: 2, MinLen: 2, MaxLen: 2}, exec.Options{Workers: 1})
 	for _, p := range ps {
 		if len(p.Items) != 2 {
 			t.Errorf("pattern %v violates length bounds", p.Items)
@@ -74,7 +86,7 @@ func TestMineEmbeddingsAreValid(t *testing.T) {
 		{1, 1, 2, 2},
 		{2, 1, 2},
 	}
-	ps := Mine(db, Config{MinSupport: 2, MinLen: 2, MaxLen: 3}, exec.Options{Workers: 1})
+	ps := mustMine(t, db, Config{MinSupport: 2, MinLen: 2, MaxLen: 3}, exec.Options{Workers: 1})
 	p := findPattern(ps, 1, 2)
 	if p == nil {
 		t.Fatal("pattern [1 2] missing")
@@ -105,7 +117,7 @@ func TestMineEmbeddingsAreValid(t *testing.T) {
 func TestMineSupportIsPerSequence(t *testing.T) {
 	// Item 5 occurs three times in one sequence: support must be 1.
 	db := []Sequence{{5, 5, 5}}
-	ps := Mine(db, Config{MinSupport: 1, MinLen: 1, MaxLen: 1}, exec.Options{Workers: 1})
+	ps := mustMine(t, db, Config{MinSupport: 1, MinLen: 1, MaxLen: 1}, exec.Options{Workers: 1})
 	p := findPattern(ps, 5)
 	if p == nil || p.Support() != 1 {
 		t.Fatalf("per-sequence support broken: %+v", p)
@@ -113,17 +125,17 @@ func TestMineSupportIsPerSequence(t *testing.T) {
 }
 
 func TestMineEmptyAndDegenerate(t *testing.T) {
-	if ps := Mine(nil, DefaultConfig(), exec.Options{Workers: 1}); len(ps) != 0 {
+	if ps := mustMine(t, nil, DefaultConfig(), exec.Options{Workers: 1}); len(ps) != 0 {
 		t.Error("empty db should yield no patterns")
 	}
-	if ps := Mine([]Sequence{{}, {}}, Config{MinSupport: 1, MinLen: 1, MaxLen: 3}, exec.Options{Workers: 1}); len(ps) != 0 {
+	if ps := mustMine(t, []Sequence{{}, {}}, Config{MinSupport: 1, MinLen: 1, MaxLen: 3}, exec.Options{Workers: 1}); len(ps) != 0 {
 		t.Error("empty sequences should yield no patterns")
 	}
-	if ps := Mine([]Sequence{{1}}, Config{MinSupport: 1, MinLen: 1, MaxLen: 0}, exec.Options{Workers: 1}); len(ps) != 0 {
+	if ps := mustMine(t, []Sequence{{1}}, Config{MinSupport: 1, MinLen: 1, MaxLen: 0}, exec.Options{Workers: 1}); len(ps) != 0 {
 		t.Error("MaxLen=0 should yield no patterns")
 	}
 	// MinSupport below 1 is clamped to 1.
-	ps := Mine([]Sequence{{1}}, Config{MinSupport: 0, MinLen: 1, MaxLen: 1}, exec.Options{Workers: 1})
+	ps := mustMine(t, []Sequence{{1}}, Config{MinSupport: 0, MinLen: 1, MaxLen: 1}, exec.Options{Workers: 1})
 	if len(ps) != 1 {
 		t.Errorf("clamped MinSupport mining failed: %d patterns", len(ps))
 	}
@@ -131,7 +143,7 @@ func TestMineEmptyAndDegenerate(t *testing.T) {
 
 func TestMineOrderedByDescendingSupport(t *testing.T) {
 	db := []Sequence{{1, 2}, {1, 2}, {1}, {2, 1}}
-	ps := Mine(db, Config{MinSupport: 1, MinLen: 1, MaxLen: 2}, exec.Options{Workers: 1})
+	ps := mustMine(t, db, Config{MinSupport: 1, MinLen: 1, MaxLen: 2}, exec.Options{Workers: 1})
 	for i := 1; i < len(ps); i++ {
 		if ps[i-1].Support() < ps[i].Support() {
 			t.Fatalf("patterns not sorted by support at %d", i)
@@ -162,7 +174,7 @@ func TestMineMatchesBruteForceProperty(t *testing.T) {
 			}
 		}
 		minSup := 1 + rng.Intn(3)
-		ps := Mine(db, Config{MinSupport: minSup, MinLen: 1, MaxLen: 4}, exec.Options{Workers: 1})
+		ps := mustMine(t, db, Config{MinSupport: minSup, MinLen: 1, MaxLen: 4}, exec.Options{Workers: 1})
 		// (a) every emitted pattern has correct support;
 		seen := make(map[string]bool)
 		for _, p := range ps {
@@ -240,7 +252,7 @@ func BenchmarkMine1000x8(b *testing.B) {
 	cfg := Config{MinSupport: 50, MinLen: 2, MaxLen: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Mine(db, cfg, exec.Options{Workers: 1})
+		mustMine(b, db, cfg, exec.Options{Workers: 1})
 	}
 }
 
@@ -259,14 +271,29 @@ func TestMineWorkerDeterminism(t *testing.T) {
 		}
 	}
 	cfg := Config{MinSupport: 20, MinLen: 1, MaxLen: 5}
-	ref := Mine(db, cfg, exec.Options{Workers: 1})
+	ref := mustMine(t, db, cfg, exec.Options{Workers: 1})
 	if len(ref) == 0 {
 		t.Fatal("degenerate fixture: no patterns mined")
 	}
 	for _, workers := range []int{2, 3, 8} {
-		got := Mine(db, cfg, exec.Options{Workers: workers})
+		got := mustMine(t, db, cfg, exec.Options{Workers: workers})
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: pattern list diverged from sequential mining", workers)
+		}
+	}
+}
+
+// TestMineCanceledContext: a canceled context stops the search and
+// surfaces ctx.Err() at any worker budget instead of an empty or
+// partial pattern list.
+func TestMineCanceledContext(t *testing.T) {
+	db := []Sequence{{1, 2, 3}, {1, 2, 3}, {2, 3}}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		ps, err := Mine(ctx, db, Config{MinSupport: 2, MinLen: 1, MaxLen: 3}, exec.Options{Workers: workers})
+		if !errors.Is(err, context.Canceled) || ps != nil {
+			t.Errorf("workers=%d: Mine = %d patterns, %v; want nil, context.Canceled", workers, len(ps), err)
 		}
 	}
 }
