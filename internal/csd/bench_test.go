@@ -10,6 +10,7 @@ package csd
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -74,16 +75,53 @@ func stageFixture(b *testing.B) *stageFixtureT {
 	return &stageFix
 }
 
+// BenchmarkPopularity measures the build's popularity stage: pack the
+// stays, split the POIs into strips with their grids, and fold every
+// stay into zero sums, at one and two workers.
 func BenchmarkPopularity(b *testing.B) {
 	fix := stageFixture(b)
 	ctx := context.Background()
-	opt := exec.Options{Workers: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := popularity(ctx, fix.pois, fix.stays, fix.d.kernel, opt); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			opt := exec.Options{Workers: workers}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := popularity(ctx, fix.pois, fix.stays, fix.d.kernel, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFoldBatch measures one ingest delta's popularity as
+// ApplyDelta runs it: an 85-stay batch, the bench city's last stays,
+// folded through the retained POI strips into a copy of the sums over
+// every earlier stay, with touched marked.
+func BenchmarkFoldBatch(b *testing.B) {
+	fix := stageFixture(b)
+	ctx := context.Background()
+	const batchStays = 85
+	cut := len(fix.stays) - batchStays
+	pix := newPopIndex(fix.d.kernel, poi.Locations(fix.pois))
+	seed := make([]float64, len(fix.pois))
+	if err := pix.fold(ctx, 1, geo.Pack(fix.stays[:cut]), seed, nil); err != nil {
+		b.Fatal(err)
+	}
+	batch := fix.stays[cut:]
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pop := append([]float64(nil), seed...)
+				touched := make([]bool, len(pop))
+				if err := pix.fold(ctx, workers, geo.Pack(batch), pop, touched); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

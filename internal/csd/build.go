@@ -35,23 +35,26 @@ func Build(pois []poi.POI, stays []geo.Point, params Params) *Diagram {
 func BuildEnv(env stage.Env, pois []poi.POI, stays []geo.Point, params Params) (*Diagram, error) {
 	root := env.StartSpan("csd.build")
 	defer root.End()
-	return build(env, root, pois, stays, params, &components{})
+	return build(env, root, pois, stays, params, &popIndex{}, &components{})
 }
 
 // build is BuildEnv under a caller-opened root span: the full
-// kernel-sum popularity (Eq. 2–3), then phase 2 filling cache.
-func build(env stage.Env, root *obs.Span, pois []poi.POI, stays []geo.Point, params Params, cache *components) (*Diagram, error) {
+// kernel-sum popularity (Eq. 2–3), filling pix with the POI side of the
+// fold, then phase 2 filling cache.
+func build(env stage.Env, root *obs.Span, pois []poi.POI, stays []geo.Point, params Params, pix *popIndex, cache *components) (*Diagram, error) {
 	d := &Diagram{Params: params, POIs: pois, kernel: newKernelFor(params)}
 	sp := root.Start("popularity")
 	err := fault.Hit("csd.popularity")
 	if err == nil {
-		d.Pop, err = popularity(env.Ctx, pois, stays, d.kernel, env.Opt)
+		*pix = newPopIndex(d.kernel, poi.Locations(pois))
+		d.Pop = make([]float64, len(pois))
+		err = pix.fold(env.Ctx, env.Opt.Workers, geo.Pack(stays), d.Pop, nil)
 	}
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	exec.Note(env.Trace, len(pois), exec.Workers(env.Opt.Workers))
+	exec.Note(env.Trace, len(pix.strips), exec.Workers(env.Opt.Workers))
 	if err := d.phase2(env, root, "", cache); err != nil {
 		return nil, err
 	}
@@ -543,13 +546,20 @@ func (d *Diagram) merge(ctx context.Context, clusters [][]int, leftover []int, k
 	return merged, unattached, nil
 }
 
-// clusterCentroid returns the centroid of a cluster's POI locations.
+// clusterCentroid returns the centroid of a cluster's POI locations,
+// summed in member order as geo.Centroid sums its points, so the bits
+// are geo.Centroid's without gathering the locations into a slice.
 func (d *Diagram) clusterCentroid(cl []int) geo.Point {
-	pts := make([]geo.Point, len(cl))
-	for k, i := range cl {
-		pts[k] = d.POIs[i].Location
+	if len(cl) == 0 {
+		return geo.Point{}
 	}
-	return geo.Centroid(pts)
+	var sLon, sLat float64
+	for _, i := range cl {
+		sLon += d.POIs[i].Location.Lon
+		sLat += d.POIs[i].Location.Lat
+	}
+	n := float64(len(cl))
+	return geo.Point{Lon: sLon / n, Lat: sLat / n}
 }
 
 // popWeightedDistribution computes Pr_u(s) of Equation (6): each major's

@@ -16,8 +16,10 @@
 package csd
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 
 	"csdm/internal/exec"
 	"csdm/internal/geo"
@@ -207,65 +209,154 @@ func (d *Diagram) MeanUnitPurity() float64 {
 	return sum / float64(len(d.Units))
 }
 
-// popularity computes pop(p^I) for every POI per Equations (2)–(3):
-// every POI's sum starts at zero and folds in all the stays.
-func popularity(ctx context.Context, pois []poi.POI, stays []geo.Point, kernel geo.GaussianKernel, opt exec.Options) ([]float64, error) {
-	pop := make([]float64, len(pois))
-	if err := FoldPopularity(ctx, opt, kernel, poi.Locations(pois), geo.Pack(stays), pop, nil); err != nil {
-		return nil, err
-	}
-	return pop, nil
-}
-
-// FoldPopularity is the one popularity loop of Equations (2)–(3): it
+// FoldPopularity is Equations (2)–(3) for one set of locations: it
 // adds to pop[i] the kernel weight of every stay in pp within R3σ of
 // locs[i], and, when touched is non-nil, sets touched[i] if there was
-// one. The full build folds all stays into zero sums, the Maintainer's
-// delta folds a batch into a copy of the running sums, and a shard tile
-// folds its halo stays into its owned POIs' sums.
-//
-// Each pop[i] takes its weights in ascending stay order:
-// WithinSortedAppend returns the in-range ids ascending on every index
-// backend, and WeightSumInto adds them one at a time. So the sums are
-// bit-identical for any worker count and backend, and, because float
-// addition does not associate, the order is also what keeps the other
-// two callers exact. A delta batch's stays follow every earlier stay,
-// so folding it into the running sums continues each chain where a full
-// build over the union would; pre-summing the batch and adding once
-// would round differently. A shard's halo stays come in ascending
-// global id order, so a tile's fold is the full build's chain term for
-// term.
-//
-// The loop fans out on opt's pool with one query buffer per worker
-// slot; a sum never depends on a buffer's leftover contents. With one
-// slot it runs inline as the caller's own loop, not as pool tasks, so a
-// shard tile (itself one task of the shard fan-out) adds nothing to the
-// pool's task count or its exec.task fault site.
+// one. It builds the locations' popIndex and folds pp through it once;
+// a shard tile calls it for its owned POIs and halo stays, while the
+// full build and the Maintainer hold their popIndex and call fold. On
+// error pop may be partly folded, so every caller folds into sums it
+// discards on failure. The sums never depend on opt.Index: the POI
+// side is always a grid, and no backend changes a sum.
 func FoldPopularity(ctx context.Context, opt exec.Options, kernel geo.GaussianKernel, locs []geo.Point, pp *geo.PackedPoints, pop []float64, touched []bool) error {
+	x := newPopIndex(kernel, locs)
+	return x.fold(ctx, opt.Workers, pp, pop, touched)
+}
+
+// popStrips is the fixed number of longitude strips a popIndex splits
+// its POIs into. It is the fold's task count and does not follow the
+// worker budget: more strips than workers let the pool balance strips
+// whose stay density differs.
+const popStrips = 16
+
+// popHaloSlack widens each strip's halo beyond R3σ, in meters. The halo
+// rectangle is exact in the spherical model but the range test is
+// floating-point Haversine, so the slack keeps a stay a rounding error
+// inside R3σ from being skipped; the grid query still decides which
+// POIs are in range.
+const popHaloSlack = 1.0
+
+// popIndex is the POI side of the popularity fold: the locations split
+// by longitude into at most popStrips strips of near-equal size, each
+// with its own grid. It is immutable after newPopIndex, so one index
+// serves any number of folds; the Maintainer builds one for its static
+// POIs and reuses it for every delta.
+type popIndex struct {
+	kernel geo.GaussianKernel
+	strips []popStrip
+}
+
+// popStrip is one strip: ids are the global location indices of its
+// POIs, ascending; pp packs their locations (position k is ids[k]) and
+// idx is a grid over pp; halo holds every point within R3σ of a strip
+// POI, so a stay outside it skips the strip's grid.
+type popStrip struct {
+	ids  []int
+	pp   *geo.PackedPoints
+	idx  index.Index
+	halo geo.Rect
+}
+
+// newPopIndex splits locs into strips and builds each strip's grid.
+func newPopIndex(kernel geo.GaussianKernel, locs []geo.Point) popIndex {
+	x := popIndex{kernel: kernel}
+	order := make([]int, len(locs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(locs[a].Lon, locs[b].Lon) })
+	n := min(popStrips, len(locs))
+	for s := range n {
+		ids := order[s*len(locs)/n : (s+1)*len(locs)/n]
+		slices.Sort(ids)
+		pts := make([]geo.Point, len(ids))
+		for k, i := range ids {
+			pts[k] = locs[i]
+		}
+		pp := geo.Pack(pts)
+		x.strips = append(x.strips, popStrip{
+			ids:  ids,
+			pp:   pp,
+			idx:  index.NewPacked(index.KindGrid, pp, kernel.Radius()),
+			halo: geo.BoundingRect(pts).ExpandMeters(kernel.Radius() + popHaloSlack),
+		})
+	}
+	return x
+}
+
+// ctxPoll is how many stays a strip folds between context checks.
+const ctxPoll = 1024
+
+// fold is the one popularity loop of Equations (2)–(3). Each strip
+// visits the stays of pp in ascending id order, range-queries its grid
+// around each stay and adds the stay's kernel weight to every POI in
+// range, so each POI takes its weights one addition at a time in
+// ascending stay order, whatever the strip layout, the worker count or
+// the order one query returns its ids in. That order is what keeps the
+// three popularity paths exact, because float addition does not
+// associate. The full build folds all stays into zero sums. A delta
+// batch's stays follow every earlier stay, so the Maintainer folding it
+// into the running sums continues each chain where a full build over
+// the union would; pre-summing the batch and adding once would round
+// differently. A shard's halo stays come in ascending global id order,
+// so a tile's fold is the full build's chain term for term.
+//
+// The strips fan out on a pool of the given worker budget. A strip
+// sums into a local copy of its POIs' entries of pop and writes them
+// back at the end, so no two workers write near the same cache line
+// while folding. With one worker the strips run inline as the caller's
+// own loop, not as pool tasks, so a shard tile (itself one task of the
+// shard fan-out) adds nothing to the pool's task count or its exec.task
+// fault site.
+func (x popIndex) fold(ctx context.Context, workers int, pp *geo.PackedPoints, pop []float64, touched []bool) error {
 	if pp.Len() == 0 {
 		return nil
 	}
-	idx := index.NewPacked(opt.Index, pp, kernel.Radius())
-	bufs := make([][]int, exec.Slots(opt.Workers, len(locs)))
-	fold := func(slot, i int) error {
-		buf := idx.WithinSortedAppend(locs[i], kernel.Radius(), bufs[slot][:0])
-		bufs[slot] = buf
-		if len(buf) > 0 {
-			pop[i] = kernel.WeightSumInto(pop[i], locs[i], pp, buf)
-			if touched != nil {
+	r := x.kernel.Radius()
+	strip := func(_, s int) error {
+		st := &x.strips[s]
+		acc := make([]float64, len(st.ids))
+		for k, i := range st.ids {
+			acc[k] = pop[i]
+		}
+		var hit []bool
+		if touched != nil {
+			hit = make([]bool, len(st.ids))
+		}
+		var buf []int
+		for j := range pp.Len() {
+			if j%ctxPoll == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			p := pp.At(j)
+			if !st.halo.Contains(p) {
+				continue
+			}
+			buf = st.idx.WithinAppend(p, r, buf[:0])
+			for _, k := range buf {
+				acc[k] += x.kernel.WeightCos(st.pp.At(k), st.pp.Cos[k], p, pp.Cos[j])
+				if hit != nil {
+					hit[k] = true
+				}
+			}
+		}
+		for k, i := range st.ids {
+			pop[i] = acc[k]
+			if hit != nil && hit[k] {
 				touched[i] = true
 			}
 		}
 		return nil
 	}
-	if len(bufs) > 1 {
-		return exec.ParallelForSlots(ctx, opt.Workers, len(locs), fold)
+	if exec.Slots(workers, len(x.strips)) > 1 {
+		return exec.ParallelForSlots(ctx, workers, len(x.strips), strip)
 	}
-	for i := range locs {
-		if err := ctx.Err(); err != nil {
+	for s := range x.strips {
+		if err := strip(0, s); err != nil {
 			return err
 		}
-		fold(0, i)
 	}
 	return nil
 }

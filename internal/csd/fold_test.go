@@ -12,6 +12,17 @@ import (
 	"csdm/internal/poi"
 )
 
+// popularity is the build's popularity stage on its own: every POI's
+// sum starts at zero and folds in all the stays, through a popIndex
+// built for the call.
+func popularity(ctx context.Context, pois []poi.POI, stays []geo.Point, kernel geo.GaussianKernel, opt exec.Options) ([]float64, error) {
+	pop := make([]float64, len(pois))
+	if err := FoldPopularity(ctx, opt, kernel, poi.Locations(pois), geo.Pack(stays), pop, nil); err != nil {
+		return nil, err
+	}
+	return pop, nil
+}
+
 // TestFoldPopularity pins FoldPopularity's contract on every index
 // backend at one and four workers: folding a prefix of the stays and
 // then the suffix equals folding them all, bit for bit; folding over a
@@ -116,5 +127,93 @@ func TestFoldPopularity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// naiveFold is Equations (2)–(3) written out with no index and no
+// packed store: for every location and every stay in ascending order,
+// geo.Haversine decides R3σ membership and WeightDist adds the term.
+func naiveFold(kernel geo.GaussianKernel, locs, stays []geo.Point, pop []float64, touched []bool) {
+	for i, l := range locs {
+		for _, s := range stays {
+			if d := geo.Haversine(l, s); d <= kernel.Radius() {
+				pop[i] += kernel.WeightDist(d)
+				touched[i] = true
+			}
+		}
+	}
+}
+
+// TestFoldPopularityMatchesNaive is the oracle for the popularity fold:
+// at one, two and three workers, folding the whole stay set at once
+// through FoldPopularity, and folding a seed and then 85-stay batches
+// through one retained popIndex as the Maintainer does, must both give
+// the brute-force sums and touched sets bit for bit, after every batch.
+func TestFoldPopularityMatchesNaive(t *testing.T) {
+	stays, city := maintWorkload(t)
+	kernel := newKernelFor(DefaultParams())
+	locs := poi.Locations(city.POIs)
+	want := make([]float64, len(locs))
+	wantTouched := make([]bool, len(locs))
+	naiveFold(kernel, locs, stays, want, wantTouched)
+
+	const batchStays = 85
+	seedLen := len(stays) / 2
+	type step struct {
+		pop     []float64
+		touched []bool
+	}
+	var steps []step // the oracle after the seed and after each batch
+	running := make([]float64, len(locs))
+	for lo := 0; lo < len(stays); {
+		hi := min(lo+batchStays, len(stays))
+		if lo == 0 {
+			hi = seedLen
+		}
+		touched := make([]bool, len(locs))
+		naiveFold(kernel, locs, stays[lo:hi], running, touched)
+		steps = append(steps, step{append([]float64(nil), running...), touched})
+		lo = hi
+	}
+	if len(steps) < 3 {
+		t.Fatalf("fixture has %d stays, too few for a seed and two batches", len(stays))
+	}
+
+	requireSame := func(t *testing.T, what string, pop, wantPop []float64, touched, wantT []bool) {
+		t.Helper()
+		for i := range locs {
+			if math.Float64bits(pop[i]) != math.Float64bits(wantPop[i]) {
+				t.Fatalf("%s: pop[%d] = %v, naive %v", what, i, pop[i], wantPop[i])
+			}
+			if touched[i] != wantT[i] {
+				t.Fatalf("%s: touched[%d] = %v, naive %v", what, i, touched[i], wantT[i])
+			}
+		}
+	}
+	ctx := context.Background()
+	for _, workers := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			pop := make([]float64, len(locs))
+			touched := make([]bool, len(locs))
+			if err := FoldPopularity(ctx, exec.Options{Workers: workers}, kernel, locs, geo.Pack(stays), pop, touched); err != nil {
+				t.Fatal(err)
+			}
+			requireSame(t, "whole set", pop, want, touched, wantTouched)
+
+			pix := newPopIndex(kernel, locs)
+			pop = make([]float64, len(locs))
+			for lo, k := 0, 0; lo < len(stays); k++ {
+				hi := min(lo+batchStays, len(stays))
+				if lo == 0 {
+					hi = seedLen
+				}
+				touched := make([]bool, len(locs))
+				if err := pix.fold(ctx, workers, geo.Pack(stays[lo:hi]), pop, touched); err != nil {
+					t.Fatal(err)
+				}
+				requireSame(t, fmt.Sprintf("after fold %d (stays %d..%d)", k, lo, hi), pop, steps[k].pop, touched, steps[k].touched)
+				lo = hi
+			}
+		})
 	}
 }

@@ -18,9 +18,12 @@ import (
 // The incremental result is bit-identical to a full Build on the union
 // of all stay points, by construction rather than approximation:
 //
-//   - Popularity (Eq. 2–3): new stays only ever append ids, so
-//     FoldPopularity folds a batch into the running sums exactly as a
-//     full build over the union would.
+//   - Popularity (Eq. 2–3): new stays only ever append ids, so the
+//     fold over the retained POI strips adds a batch to the running
+//     sums exactly as a full build over the union would. The batch is
+//     not indexed and no POI is queried: each batch stay queries the
+//     grids of the strips whose halo holds it, so the range work is in
+//     proportion to the batch.
 //   - Algorithm 1 factorizes exactly over the ε_p-connected components
 //     of the static POI graph: cluster growth only follows ≤ ε_p edges,
 //     so re-running growClusters on one component reproduces the full
@@ -47,9 +50,11 @@ type Maintainer struct {
 	pois   []poi.POI
 	kernel geo.GaussianKernel
 
-	// stays counts the stay points seen so far; delta batches index
-	// only themselves, so no stay is kept.
+	// stays counts the stay points seen so far; no stay is kept.
 	stays int
+	// pix is the POI side of the popularity fold, built once with the
+	// initial diagram; the POIs are static, so every delta reuses it.
+	pix popIndex
 	// pop is the current canonical-order popularity. Diagrams share its
 	// backing array: the maintainer never mutates it in place (every
 	// delta copies first), so served generations stay immutable.
@@ -92,7 +97,7 @@ func NewMaintainerEnv(env stage.Env, pois []poi.POI, stays []geo.Point, params P
 	root := env.StartSpan("csd.maintain")
 	defer root.End()
 	m := &Maintainer{params: params, kind: env.Opt.Index, pois: pois, stays: len(stays)}
-	d, err := build(env, root, pois, stays, params, &m.cache)
+	d, err := build(env, root, pois, stays, params, &m.pix, &m.cache)
 	if err != nil {
 		return nil, err
 	}
@@ -140,12 +145,12 @@ func (m *Maintainer) ApplyDelta(env stage.Env, batch []geo.Point) (*Diagram, Del
 	defer root.End()
 	st := DeltaStats{BatchStays: len(batch)}
 
-	// Delta popularity: fold the batch alone into a copy of the
-	// running sums.
+	// Delta popularity: fold the batch alone through the retained POI
+	// strips into a copy of the running sums.
 	sp := root.Start("delta.popularity")
 	newPop := append([]float64(nil), m.pop...)
 	touched := make([]bool, len(m.pois))
-	if err := FoldPopularity(ctx, opt, m.kernel, poi.Locations(m.pois), geo.Pack(batch), newPop, touched); err != nil {
+	if err := m.pix.fold(ctx, opt.Workers, geo.Pack(batch), newPop, touched); err != nil {
 		sp.End()
 		return nil, st, err
 	}

@@ -1,8 +1,10 @@
 package csd
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -327,5 +329,110 @@ func TestApplyDeltaStatsAccounting(t *testing.T) {
 	if got := st.DirtyUnits + st.ReusedUnits; got > len(d.Units) || got < len(d.Units)-singletons {
 		t.Fatalf("unit accounting: dirty %d + reused %d vs %d units (%d singletons)",
 			st.DirtyUnits, st.ReusedUnits, len(d.Units), singletons)
+	}
+}
+
+// TestMaintainerWorkersSwap: the retained POI strips do not depend on
+// the worker budget they were built at. A maintainer built at two
+// workers and fed its deltas at one gives the same bits as one built at
+// one and fed at two, and both match a one-shot build over the union.
+func TestMaintainerWorkersSwap(t *testing.T) {
+	stays, city := maintWorkload(t)
+	params := DefaultParams()
+	params.KeepSingletons = true
+	batches := contiguousSplit(stays, 4)
+	run := func(build, apply int) *Diagram {
+		t.Helper()
+		m, err := NewMaintainerEnv(envWith(build, index.KindGrid), city.POIs, batches[0], params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d *Diagram
+		for _, b := range batches[1:] {
+			if d, _, err = m.ApplyDelta(envWith(apply, index.KindGrid), b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d
+	}
+	full, err := BuildEnv(envWith(1, index.KindGrid), city.POIs, stays, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameDiagram(t, full, run(2, 1))
+	requireSameDiagram(t, full, run(1, 2))
+}
+
+// TestApplyDeltaCanceledKeepsState: ApplyDelta under a canceled context
+// returns ctx.Err() and leaves the retained state as it was, on the
+// inline path and on the pool; the same batch then applies as if the
+// canceled call had never happened.
+func TestApplyDeltaCanceledKeepsState(t *testing.T) {
+	stays, city := maintWorkload(t)
+	params := DefaultParams()
+	params.KeepSingletons = true
+	batches := contiguousSplit(stays, 2)
+	full, err := BuildEnv(stage.Background(), city.POIs, stays, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			env := envWith(workers, index.KindGrid)
+			m, err := NewMaintainerEnv(env, city.POIs, batches[0], params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, before, count := m.Generation(), m.Diagram(), m.StayCount()
+			pop := append([]float64(nil), m.pop...)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			canceled := env
+			canceled.Ctx = ctx
+			if _, _, err := m.ApplyDelta(canceled, batches[1]); err != ctx.Err() {
+				t.Fatalf("ApplyDelta under a canceled ctx: err = %v, want %v", err, ctx.Err())
+			}
+			if m.Generation() != gen || m.Diagram() != before || m.StayCount() != count {
+				t.Fatalf("canceled batch changed the maintainer: gen %d→%d, stays %d→%d, diagram replaced %v",
+					gen, m.Generation(), count, m.StayCount(), m.Diagram() != before)
+			}
+			for i := range pop {
+				if math.Float64bits(m.pop[i]) != math.Float64bits(pop[i]) {
+					t.Fatalf("canceled batch changed pop[%d]: %v → %v", i, pop[i], m.pop[i])
+				}
+			}
+			d, _, err := m.ApplyDelta(env, batches[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameDiagram(t, full, d)
+		})
+	}
+}
+
+// TestClusterCentroidMatchesCentroid: the centroid merge and finalize
+// take per cluster has geo.Centroid's bits and allocates nothing.
+func TestClusterCentroidMatchesCentroid(t *testing.T) {
+	_, city := maintWorkload(t)
+	d := &Diagram{POIs: city.POIs}
+	clusters := [][]int{nil, {0}, {5, 3, 9}}
+	var all []int
+	for i := len(city.POIs) - 1; i >= 0; i -= 3 {
+		all = append(all, i)
+	}
+	clusters = append(clusters, all)
+	for _, cl := range clusters {
+		pts := make([]geo.Point, len(cl))
+		for k, i := range cl {
+			pts[k] = city.POIs[i].Location
+		}
+		got, want := d.clusterCentroid(cl), geo.Centroid(pts)
+		if math.Float64bits(got.Lon) != math.Float64bits(want.Lon) || math.Float64bits(got.Lat) != math.Float64bits(want.Lat) {
+			t.Fatalf("clusterCentroid(%d members) = %v, geo.Centroid %v", len(cl), got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.clusterCentroid(all) }); allocs != 0 {
+		t.Fatalf("clusterCentroid allocates %v times per call, want 0", allocs)
 	}
 }

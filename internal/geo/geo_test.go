@@ -277,10 +277,10 @@ func TestGaussianKernelProperties(t *testing.T) {
 		}
 		prev = w
 	}
-	// A one-point kernel sum equals WeightDist of the Haversine distance.
+	// The per-pair weight equals WeightDist of the Haversine distance.
 	pr := NewProjection(shanghai)
 	p := pr.ToPoint(Meters{X: 50, Y: 0})
-	if w1, w2 := k.WeightSumInto(0, shanghai, Pack([]Point{p}), []int{0}), k.WeightDist(Haversine(shanghai, p)); math.Abs(w1-w2) > 1e-15 {
+	if w1, w2 := k.WeightCos(shanghai, CosLat(shanghai.Lat), p, CosLat(p.Lat)), k.WeightDist(Haversine(shanghai, p)); math.Abs(w1-w2) > 1e-15 {
 		t.Fatalf("Weight mismatch: %v vs %v", w1, w2)
 	}
 }

@@ -41,20 +41,13 @@ func (k GaussianKernel) WeightDist(d float64) float64 {
 	return k.norm * math.Exp(-d*d*k.inv2s2)
 }
 
-// WeightSumInto folds the kernel weights between center and the
-// identified packed points into acc, one addition per id in the ids'
-// order, and returns the new accumulator. It is the kernel sum of
-// Equations (2)–(3). Its one caller, csd.FoldPopularity, passes
-// ascending stay ids and states why that order keeps every popularity
-// path bit-identical.
-//
-// The center's latitude cosine is taken once per call and each point's
-// comes from the store's Cos column, so a pair costs one HaversineCos
-// and one exp — the same bits as WeightDist(Haversine(center, point)).
-func (k GaussianKernel) WeightSumInto(acc float64, center Point, pp *PackedPoints, ids []int) float64 {
-	cosC := CosLat(center.Lat)
-	for _, id := range ids {
-		acc += k.WeightDist(HaversineCos(center, cosC, pp.At(id), pp.Cos[id]))
-	}
-	return acc
+// WeightCos is the kernel weight between a and b with both latitude
+// cosines supplied, as HaversineCos takes them: the same bits as
+// WeightDist(Haversine(a, b)) when cosA = CosLat(a.Lat) and
+// cosB = CosLat(b.Lat). It is the per-pair term of Equations (2)–(3);
+// csd.FoldPopularity passes the POI first and the stay second, reads
+// both cosines from packed Cos columns, and states the order in which
+// the terms are added.
+func (k GaussianKernel) WeightCos(a Point, cosA float64, b Point, cosB float64) float64 {
+	return k.WeightDist(HaversineCos(a, cosA, b, cosB))
 }

@@ -54,10 +54,12 @@ func kernelRefPairs(rng *rand.Rand) (centers []Point, near [][]Point) {
 	return centers, near
 }
 
-// TestKernelMatchesReference compares GaussianKernel.WeightSumInto with
-// the inline reference by Float64bits, per pair and summed in ascending
-// id order, on stores filled by Pack, by Append after a first fill
-// (projected and not), and point by point through AppendPoint.
+// TestKernelMatchesReference compares GaussianKernel.WeightCos, with the
+// point's cosine read from the store's Cos column as the popularity
+// fold reads it, with the inline reference by Float64bits, per pair and
+// summed in ascending id order, on stores filled by Pack, by Append
+// after a first fill (projected and not), and point by point through
+// AppendPoint.
 func TestKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	centers, near := kernelRefPairs(rng)
@@ -80,24 +82,25 @@ func TestKernelMatchesReference(t *testing.T) {
 			if len(pp.Cos) != len(pts) {
 				t.Fatalf("%s: Cos has %d entries for %d points", name, len(pp.Cos), len(pts))
 			}
-			var want float64
-			ids := make([]int, len(pts))
+			var want, sum float64
+			cosC := CosLat(c.Lat)
 			for id, p := range pts {
 				if got, w := math.Float64bits(pp.Cos[id]), math.Float64bits(math.Cos(p.Lat*math.Pi/180)); got != w {
 					t.Fatalf("%s: Cos[%d] bits %x, want %x", name, id, got, w)
 				}
 				ref := refWeight(r3sigma, c, p)
-				if got := k.WeightSumInto(0, c, pp, []int{id}); math.Float64bits(got) != math.Float64bits(ref) {
+				got := k.WeightCos(c, cosC, pp.At(id), pp.Cos[id])
+				if math.Float64bits(got) != math.Float64bits(ref) {
 					t.Fatalf("%s: weight(%v, %v) = %v, reference %v", name, c, p, got, ref)
 				}
 				if got, ref := HaversineCos(p, pp.Cos[id], c, CosLat(c.Lat)), Haversine(p, c); math.Float64bits(got) != math.Float64bits(ref) {
 					t.Fatalf("%s: HaversineCos(%v, %v) = %v, Haversine %v", name, p, c, got, ref)
 				}
 				want += ref
-				ids[id] = id
+				sum += got
 			}
-			if got := k.WeightSumInto(0, c, pp, ids); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: sum around %v = %v, reference %v", name, c, got, want)
+			if math.Float64bits(sum) != math.Float64bits(want) {
+				t.Fatalf("%s: sum around %v = %v, reference %v", name, c, sum, want)
 			}
 		}
 	}

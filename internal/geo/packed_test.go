@@ -174,66 +174,3 @@ func TestPackedAppend(t *testing.T) {
 		t.Fatalf("lazy Len = %d, want %d", lazy.Len(), pp.Len())
 	}
 }
-
-// TestWeightSumInto pins the chain-exactness of the incremental kernel
-// sum: folding a tail of weights into a running sum one at a time must
-// reproduce the single full-order loop bit for bit, for any split point.
-func TestWeightSumInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	center := Point{Lon: 121.5, Lat: 31.2}
-	pts := make([]Point, 64)
-	for i := range pts {
-		pts[i] = Point{Lon: 121.5 + (rng.Float64()-0.5)*0.002, Lat: 31.2 + (rng.Float64()-0.5)*0.002}
-	}
-	pp := Pack(pts)
-	k := NewGaussianKernel(100)
-	all := make([]int, len(pts))
-	for i := range all {
-		all[i] = i
-	}
-	full := k.WeightSumInto(0, center, pp, all)
-	for _, cut := range []int{0, 1, 17, 63, 64} {
-		head := k.WeightSumInto(0, center, pp, all[:cut])
-		sum := k.WeightSumInto(head, center, pp, all[cut:])
-		if math.Float64bits(sum) != math.Float64bits(full) {
-			t.Fatalf("cut %d: incremental sum %v != full %v", cut, sum, full)
-		}
-	}
-	// And it agrees with a per-pair WeightDist(Haversine) loop.
-	var loop float64
-	for _, p := range pts {
-		loop += k.WeightDist(Haversine(center, p))
-	}
-	if math.Float64bits(loop) != math.Float64bits(full) {
-		t.Fatalf("WeightSumInto %v != per-pair loop %v", full, loop)
-	}
-}
-
-// BenchmarkWeightSumInto times the Eq. 2 kernel sum on its hot shape:
-// one center and 1 000 packed stays inside its 100 m R3σ disc, summed
-// in ascending id order. One op is 1 000 Haversine + exp pairs.
-func BenchmarkWeightSumInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(53))
-	center := Point{Lon: 121.47, Lat: 31.23}
-	pr := NewProjection(center)
-	pts := make([]Point, 1000)
-	for i := range pts {
-		r := 100 * math.Sqrt(rng.Float64())
-		a := 2 * math.Pi * rng.Float64()
-		pts[i] = pr.ToPoint(Meters{X: r * math.Cos(a), Y: r * math.Sin(a)})
-	}
-	pp := Pack(pts)
-	ids := make([]int, len(pts))
-	for i := range ids {
-		ids[i] = i
-	}
-	k := NewGaussianKernel(100)
-	b.ResetTimer()
-	var sum float64
-	for i := 0; i < b.N; i++ {
-		sum = k.WeightSumInto(sum, center, pp, ids)
-	}
-	if sum <= 0 {
-		b.Fatal("kernel sum is not positive")
-	}
-}

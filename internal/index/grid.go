@@ -2,7 +2,6 @@ package index
 
 import (
 	"math"
-	"slices"
 
 	"csdm/internal/geo"
 )
@@ -159,23 +158,12 @@ func (g *Grid) Within(center geo.Point, radius float64) []int {
 // appended to buf and the extended slice is returned. See the Index
 // documentation for the aliasing contract.
 func (g *Grid) WithinAppend(center geo.Point, radius float64, buf []int) []int {
-	return g.within(&g.cellTable, center, radius, buf, false)
+	return g.within(&g.cellTable, center, radius, buf)
 }
 
-// WithinSortedAppend implements Index without sorting on the common
-// path: the counting sort leaves every cell's ids ascending, so each
-// visited cell contributes an ascending run, and the runs are merged in
-// buf's spare capacity (see mergeRuns). Only the sparse map sweep and a
-// query visiting more than maxRuns runs fall back to slices.Sort; the
-// exact fallback scans ids in order and needs neither.
-func (g *Grid) WithinSortedAppend(center geo.Point, radius float64, buf []int) []int {
-	return g.within(&g.cellTable, center, radius, buf, true)
-}
-
-// within is the one cell scan behind WithinAppend and
-// WithinSortedAppend, over the cells of t: the grid's own or a view's.
-// sorted selects the ascending result order.
-func (g *Grid) within(t *cellTable, center geo.Point, radius float64, buf []int, sorted bool) []int {
+// within is the one cell scan behind WithinAppend, over the cells of
+// t: the grid's own or a view's.
+func (g *Grid) within(t *cellTable, center geo.Point, radius float64, buf []int) []int {
 	if g.pp.Len() == 0 || radius < 0 {
 		return buf
 	}
@@ -230,7 +218,6 @@ func (g *Grid) within(t *cellTable, center geo.Point, radius float64, buf []int,
 		}
 		return out
 	}
-	n0 := len(buf)
 	// On a sparse grid a wide query box can cover far more cells than
 	// the map holds entries; iterating the occupied cells is cheaper.
 	// The box area is compared in floating point: with per-axis sizes up
@@ -245,99 +232,16 @@ func (g *Grid) within(t *cellTable, center geo.Point, radius float64, buf []int,
 				buf = test(id, buf)
 			}
 		}
-		if sorted {
-			slices.Sort(buf[n0:])
-		}
 		return buf
 	}
-	// starts[:nr] are the offsets in buf where the ascending runs begin.
-	// A cell whose first hit exceeds the previous run's last extends
-	// that run instead of opening a new one.
-	var starts [maxRuns]int
-	nr := 0
 	for cy := loY; cy <= hiY; cy++ {
 		for cx := loX; cx <= hiX; cx++ {
-			start := len(buf)
 			for _, id := range t.cell(cy*g.cols + cx) {
 				buf = test(id, buf)
 			}
-			if !sorted || start == len(buf) || (nr > 0 && buf[start-1] < buf[start]) {
-				continue
-			}
-			if nr < maxRuns {
-				starts[nr] = start
-			}
-			nr++
 		}
-	}
-	switch {
-	case nr > maxRuns:
-		slices.Sort(buf[n0:])
-	case nr > 1:
-		buf = mergeRuns(buf, starts[:nr])
 	}
 	return buf
-}
-
-// maxRuns bounds the ascending runs WithinSortedAppend merges; a query
-// touching more falls back to slices.Sort. An R3σ query on a grid whose
-// cell size is its radius touches at most 4×4 cells.
-const maxRuns = 32
-
-// mergeRuns sorts buf[starts[0]:], the concatenation of the ascending
-// runs that begin at the offsets starts, and returns buf. Each pass
-// merges adjacent pairs of runs, ping-ponging between the hits and an
-// equally long scratch region in buf's spare capacity, so a warm buffer
-// allocates nothing. starts is overwritten.
-func mergeRuns(buf []int, starts []int) []int {
-	lo, hi := starts[0], len(buf)
-	n := hi - lo
-	buf = slices.Grow(buf, n)
-	src, dst := buf[lo:hi], buf[hi:hi+n]
-	for i := range starts {
-		starts[i] -= lo
-	}
-	inPlace := true
-	for len(starts) > 1 {
-		k := 0
-		for i := 0; i < len(starts); i += 2 {
-			a, b, c := starts[i], n, n
-			if i+1 < len(starts) {
-				b = starts[i+1]
-			}
-			if i+2 < len(starts) {
-				c = starts[i+2]
-			}
-			mergeInto(dst[a:c], src[a:b], src[b:c])
-			starts[k] = a
-			k++
-		}
-		starts = starts[:k]
-		src, dst = dst, src
-		inPlace = !inPlace
-	}
-	if !inPlace {
-		copy(dst, src)
-	}
-	return buf
-}
-
-// mergeInto merges the ascending runs a and b into dst, which must hold
-// exactly len(a)+len(b) elements and overlap neither.
-func mergeInto(dst, a, b []int) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
-		k++
-	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
 }
 
 // Nearest implements Index. It expands a ring of cells around the query

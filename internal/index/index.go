@@ -9,6 +9,10 @@
 // All indexes are immutable after construction and safe for concurrent
 // readers. Query results are point IDs: positions in the point slice the
 // index was built from, so callers can keep payloads in parallel slices.
+// Range results come in unspecified order, and no caller needs another:
+// the popularity fold queries a grid over the POIs around one stay at a
+// time, so each returned POI takes exactly one term per query and the
+// order of the ids cannot reach a sum.
 package index
 
 import (
@@ -34,14 +38,6 @@ type Index interface {
 	// capacity. Like append, the returned slice may share backing with
 	// buf or be a grown copy, so the caller must use the return value.
 	WithinAppend(center geo.Point, radius float64, buf []int) []int
-	// WithinSortedAppend is WithinAppend with the appended IDs in
-	// ascending order: its result equals WithinAppend followed by an
-	// ascending sort of the appended tail, and buf's existing elements
-	// are left untouched. It is the canonical summation order of the
-	// popularity kernel sums. The aliasing contract is WithinAppend's,
-	// except that the index may also use buf's spare capacity beyond
-	// the returned length as scratch.
-	WithinSortedAppend(center geo.Point, radius float64, buf []int) []int
 	// Nearest returns the IDs of the k points closest to q, ordered by
 	// increasing distance. Fewer than k IDs are returned when the index
 	// holds fewer points.

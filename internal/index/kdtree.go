@@ -1,7 +1,6 @@
 package index
 
 import (
-	"slices"
 	"sort"
 
 	"csdm/internal/geo"
@@ -84,15 +83,6 @@ func (t *KDTree) Len() int { return t.pp.Len() }
 // Within implements Index.
 func (t *KDTree) Within(center geo.Point, radius float64) []int {
 	return t.WithinAppend(center, radius, nil)
-}
-
-// WithinSortedAppend implements Index: WithinAppend, then an
-// ascending sort of the appended tail.
-func (t *KDTree) WithinSortedAppend(center geo.Point, radius float64, buf []int) []int {
-	n0 := len(buf)
-	buf = t.WithinAppend(center, radius, buf)
-	slices.Sort(buf[n0:])
-	return buf
 }
 
 // WithinAppend implements Index: the IDs within radius of center are

@@ -93,18 +93,6 @@ func (s *sampled) WithinAppend(center geo.Point, radius float64, buf []int) []in
 	return out
 }
 
-func (s *sampled) WithinSortedAppend(center geo.Point, radius float64, buf []int) []int {
-	if !s.tick() {
-		return s.Index.WithinSortedAppend(center, radius, buf)
-	}
-	t0 := time.Now()
-	n0 := len(buf)
-	out := s.Index.WithinSortedAppend(center, radius, buf)
-	s.st.within[s.kind].Observe(time.Since(t0).Seconds())
-	s.st.withinLen[s.kind].Observe(float64(len(out) - n0))
-	return out
-}
-
 func (s *sampled) Nearest(q geo.Point, k int) []int {
 	if !s.tick() {
 		return s.Index.Nearest(q, k)

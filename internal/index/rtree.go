@@ -2,7 +2,6 @@ package index
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"csdm/internal/geo"
@@ -120,15 +119,6 @@ func (t *RTree) Len() int { return t.pp.Len() }
 // Within implements Index.
 func (t *RTree) Within(center geo.Point, radius float64) []int {
 	return t.WithinAppend(center, radius, nil)
-}
-
-// WithinSortedAppend implements Index: WithinAppend, then an
-// ascending sort of the appended tail.
-func (t *RTree) WithinSortedAppend(center geo.Point, radius float64, buf []int) []int {
-	n0 := len(buf)
-	buf = t.WithinAppend(center, radius, buf)
-	slices.Sort(buf[n0:])
-	return buf
 }
 
 // WithinAppend implements Index: the IDs within radius of center are

@@ -80,5 +80,5 @@ func (v *GridView) WithinAppend(center geo.Point, radius float64, buf []int) []i
 	if v.g == nil {
 		return buf
 	}
-	return v.g.within(&v.cells, center, radius, buf, false)
+	return v.g.within(&v.cells, center, radius, buf)
 }
