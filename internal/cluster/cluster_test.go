@@ -117,28 +117,6 @@ func TestDBSCANAllPointsLabeledProperty(t *testing.T) {
 	}
 }
 
-func TestOpticsExtractMatchesDBSCANOnBlobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := threeBlobs(rng)
-	opt := Optics(pts, 300, 5, exec.Options{})
-	if len(opt.Order) != len(pts) {
-		t.Fatalf("OPTICS order covers %d of %d points", len(opt.Order), len(pts))
-	}
-	r := opt.ExtractDBSCAN(100)
-	if r.NumClusters != 3 {
-		t.Fatalf("OPTICS-extracted clusters = %d, want 3", r.NumClusters)
-	}
-	d := DBSCAN(pts, 100, 5, exec.Options{})
-	// The partitions should agree up to label permutation: check pairwise
-	// co-membership on a sample.
-	for trial := 0; trial < 200; trial++ {
-		i, j := rng.Intn(len(pts)), rng.Intn(len(pts))
-		if sameCluster(r, i, j) != sameCluster(d, i, j) {
-			t.Fatalf("OPTICS and DBSCAN disagree on pair (%d,%d)", i, j)
-		}
-	}
-}
-
 func TestOpticsEmptyAndTiny(t *testing.T) {
 	if o := Optics(nil, 100, 5, exec.Options{}); len(o.Order) != 0 {
 		t.Error("empty OPTICS should have empty order")

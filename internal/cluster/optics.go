@@ -134,28 +134,6 @@ func (w *opticsWalk) visit(i int) {
 	}
 }
 
-// ExtractDBSCAN cuts the reachability plot at eps, yielding the clusters
-// DBSCAN(eps, minPts) would produce (up to border-point assignment).
-func (o *OpticsResult) ExtractDBSCAN(eps float64) Result {
-	labels := make([]int, len(o.pts))
-	for i := range labels {
-		labels[i] = Noise
-	}
-	cluster := -1
-	for _, i := range o.Order {
-		if o.Reach[i] > eps {
-			if o.CoreDist[i] <= eps {
-				cluster++
-				labels[i] = cluster
-			}
-			// else: noise
-		} else if cluster >= 0 {
-			labels[i] = cluster
-		}
-	}
-	return Result{Labels: labels, NumClusters: cluster + 1}
-}
-
 // ExtractLeaves extracts clusters with a per-cluster distance threshold
 // — §4.3's "optimal distance threshold with sufficiently high density
 // for each cluster". The reachability plot is split recursively at its

@@ -137,7 +137,7 @@ type Options struct {
 	// runtime.NumCPU(); one runs the stage sequentially inline.
 	Workers int
 	// Index selects the spatial-index backend stages build their
-	// range/kNN structures with.
+	// range-query structures with.
 	Index index.Kind
 }
 

@@ -13,7 +13,7 @@ var backendKinds = []Kind{KindGrid, KindKDTree, KindRTree}
 
 // TestBackendConformance cross-checks the three backends against each
 // other on random point sets: for any query, Within must return the
-// same id set, Nearest the same ordered ids, and Len the same count.
+// same id set, and Len the same count.
 // The grid is built through the factory so the CellHint path is the
 // one exercised, exactly as production call sites use it.
 func TestBackendConformance(t *testing.T) {
@@ -42,16 +42,6 @@ func TestBackendConformance(t *testing.T) {
 				if !equalIDs(got, want) {
 					t.Fatalf("trial %d: Within(%v, %.1f): %s = %v, %s = %v",
 						trial, center, radius, backendKinds[i+1], got, backendKinds[0], want)
-				}
-			}
-
-			k := rng.Intn(n + 2)
-			wantNear := idxs[0].Nearest(center, k)
-			for i, idx := range idxs[1:] {
-				got := idx.Nearest(center, k)
-				if !equalIDs(got, wantNear) {
-					t.Fatalf("trial %d: Nearest(%v, %d): %s = %v, %s = %v",
-						trial, center, k, backendKinds[i+1], got, backendKinds[0], wantNear)
 				}
 			}
 		}
@@ -104,13 +94,6 @@ func TestBackendConformanceHighLatitude(t *testing.T) {
 						t.Fatalf("center %d trial %d: %s.Within(%v, %.0f) missed/extra ids:\ngot  %v\nwant %v",
 							ci, trial, kind, qc, radius, got, want)
 					}
-					k := 1 + rng.Intn(8)
-					wantNear := bruteNearest(pts, qc, k)
-					gotNear := idx.Nearest(qc, k)
-					if !equalIDs(gotNear, wantNear) {
-						t.Fatalf("center %d trial %d: %s.Nearest(%v, %d) = %v, want %v",
-							ci, trial, kind, qc, k, gotNear, wantNear)
-					}
 				}
 			}
 		}
@@ -129,9 +112,7 @@ func TestBackendConformanceDistortionBoundary(t *testing.T) {
 	anchor := geo.Point{Lon: 25, Lat: 60}
 	pr := geo.NewProjection(anchor)
 	var pts []geo.Point
-	// Extent-setting points at lat 61, spaced so no two are symmetric
-	// about the query longitude (symmetric pairs tie in distance and the
-	// backends may legitimately order a tie either way).
+	// Extent-setting points at lat 61.
 	for i := 0; i < 20; i++ {
 		pts = append(pts, geo.Point{Lon: 24.41 + 0.053*float64(i), Lat: 61})
 	}
@@ -150,12 +131,6 @@ func TestBackendConformanceDistortionBoundary(t *testing.T) {
 		got := sortedCopy(idx.Within(anchor, r))
 		if !equalIDs(got, want) {
 			t.Errorf("%s.Within at distortion boundary = %v, want %v", kind, got, want)
-		}
-		for k := 1; k <= len(pts); k += 5 {
-			wantNear := bruteNearest(pts, anchor, k)
-			if gotNear := idx.Nearest(anchor, k); !equalIDs(gotNear, wantNear) {
-				t.Errorf("%s.Nearest(anchor, %d) = %v, want %v", kind, k, gotNear, wantNear)
-			}
 		}
 	}
 }
@@ -246,17 +221,13 @@ func TestNewGridTinyCellWideExtent(t *testing.T) {
 			t.Errorf("Within(pts[%d], 1km) = %v, want [%d]", i, got, i)
 		}
 	}
-	if got := g.Nearest(pts[2], 3); len(got) != 3 || got[0] != 2 {
-		t.Errorf("Nearest(pts[2], 3) = %v, want [2 ...]", got)
-	}
 	if got := sortedCopy(g.Within(geo.Point{Lon: 25, Lat: 35}, 2e6)); !equalIDs(got, []int{0, 1, 2}) {
 		t.Errorf("wide Within = %v, want [0 1 2]", got)
 	}
 }
 
 // TestBackendConformanceEdges pins the degenerate queries every backend
-// must agree on: an empty point set, a zero radius, and k beyond the
-// set size.
+// must agree on: an empty point set and a zero radius.
 func TestBackendConformanceEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts := randomPoints(rng, 50, 500)
@@ -269,9 +240,6 @@ func TestBackendConformanceEdges(t *testing.T) {
 		if got := empty.Within(origin, 1e6); len(got) != 0 {
 			t.Errorf("%s: empty Within = %v, want none", kind, got)
 		}
-		if got := empty.Nearest(origin, 3); len(got) != 0 {
-			t.Errorf("%s: empty Nearest = %v, want none", kind, got)
-		}
 
 		idx := New(kind, pts, 0)
 		// Radius 0 hits exactly the points coincident with the center:
@@ -282,12 +250,6 @@ func TestBackendConformanceEdges(t *testing.T) {
 		off := geo.Point{Lon: origin.Lon + 1, Lat: origin.Lat + 1}
 		if got := idx.Within(off, 0); len(got) != 0 {
 			t.Errorf("%s: Within(off, 0) = %v, want none", kind, got)
-		}
-		if got := idx.Nearest(pts[0], len(pts)+10); len(got) != len(pts) {
-			t.Errorf("%s: Nearest k>n returned %d ids, want %d", kind, len(got), len(pts))
-		}
-		if got := idx.Nearest(pts[0], 0); len(got) != 0 {
-			t.Errorf("%s: Nearest k=0 = %v, want none", kind, got)
 		}
 	}
 }

@@ -23,15 +23,6 @@ func newLatExtent() latExtent {
 	return latExtent{min: math.Inf(1), max: math.Inf(-1)}
 }
 
-func (e *latExtent) add(lat float64) {
-	if lat < e.min {
-		e.min = lat
-	}
-	if lat > e.max {
-		e.max = lat
-	}
-}
-
 // distortionSlackLimit is the largest curvature slack a query accepts
 // before planar pruning is abandoned for exact spherical testing. Past
 // a few percent the planar band is so wide that pruning saves little.
@@ -94,9 +85,9 @@ func (e latExtent) bounds(cosOrigin, queryLat, radius float64) (lo, hi float64, 
 }
 
 // inflation returns a factor f with planar ≤ f · true for pairs within
-// true distance d, or ok=false when no finite factor is sound. Tree
-// backends multiply pruning thresholds by it so a planar plane or cell
-// distance never discards a true hit.
+// true distance d, or ok=false when no finite factor is sound. The k-d
+// tree multiplies its pruning radius by it so a planar plane distance
+// never discards a true hit.
 func (e latExtent) inflation(cosOrigin, queryLat, d float64) (float64, bool) {
 	cosMin, _ := e.hullCos(queryLat)
 	if cosMin <= distortionCosFloor {

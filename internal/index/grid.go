@@ -243,82 +243,3 @@ func (g *Grid) within(t *cellTable, center geo.Point, radius float64, buf []int)
 	}
 	return buf
 }
-
-// Nearest implements Index. It expands a ring of cells around the query
-// until k candidates are confirmed closer than the next unexplored ring.
-func (g *Grid) Nearest(q geo.Point, k int) []int {
-	if k <= 0 || g.pp.Len() == 0 {
-		return nil
-	}
-	if k > g.pp.Len() {
-		k = g.pp.Len()
-	}
-	c := g.proj.ToMeters(q)
-	qx, qy := g.cellCoords(c.X, c.Y)
-	qx = clamp(qx, 0, g.cols-1)
-	qy = clamp(qy, 0, g.rows-1)
-
-	h := make(maxHeap, 0, k+1)
-	cosQ := geo.CosLat(q.Lat)
-	// A sparse grid's occupied cells can be a vanishing fraction of the
-	// ring area; a linear scan is then both simpler and faster.
-	if g.sparse != nil {
-		for id := 0; id < g.pp.Len(); id++ {
-			h.offer(heapItem{id: id, dist: geo.HaversineCos(q, cosQ, g.pp.At(id), g.pp.Cos[id])}, k)
-		}
-		return h.sortedIDs()
-	}
-	maxRing := max(g.cols, g.rows)
-	for ring := 0; ring <= maxRing; ring++ {
-		// Once k candidates are held and the closest possible point in
-		// this ring is farther than the current worst, stop. The ring
-		// bound is planar, the heap distances spherical, so the bound is
-		// deflated by the extent's distortion factor; when no sound
-		// factor exists the scan continues to the last ring.
-		if len(h) == k {
-			if f, ok := g.lats.inflation(g.proj.CosLat(), q.Lat, h.worst()); ok {
-				minPossible := (float64(ring) - 1) * g.cellSize
-				if minPossible > h.worst()*f {
-					break
-				}
-			}
-		}
-		g.visitRing(qx, qy, ring, func(id int) {
-			h.offer(heapItem{id: id, dist: geo.HaversineCos(q, cosQ, g.pp.At(id), g.pp.Cos[id])}, k)
-		})
-	}
-	return h.sortedIDs()
-}
-
-// visitRing calls fn for every point in cells at Chebyshev distance ring
-// from (qx, qy).
-func (g *Grid) visitRing(qx, qy, ring int, fn func(id int)) {
-	loX, hiX := qx-ring, qx+ring
-	loY, hiY := qy-ring, qy+ring
-	for cy := loY; cy <= hiY; cy++ {
-		if cy < 0 || cy >= g.rows {
-			continue
-		}
-		for cx := loX; cx <= hiX; cx++ {
-			if cx < 0 || cx >= g.cols {
-				continue
-			}
-			if ring > 0 && cx != loX && cx != hiX && cy != loY && cy != hiY {
-				continue // interior cell already visited by a smaller ring
-			}
-			for _, id := range g.cell(cy*g.cols + cx) {
-				fn(id)
-			}
-		}
-	}
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

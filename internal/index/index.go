@@ -1,10 +1,10 @@
 // Package index provides the spatial-index substrate of csdm: a uniform
 // grid, a k-d tree, and an STR-bulk-loaded R-tree, each answering the
-// circular range query range(p, ε, P) and k-nearest-neighbor queries over
-// a fixed set of points. Every stage of Pervasive Miner — popularity
-// estimation, CSD construction, semantic recognition — is built on these
-// queries, so the package is the closest thing the system has to a
-// database engine.
+// circular range query range(p, ε, P) over a fixed set of points. Every
+// stage of Pervasive Miner — popularity estimation, CSD construction,
+// semantic recognition — is built on this query, so the package is the
+// closest thing the system has to a database engine. ClosestWithin
+// answers the radius-bounded nearest-point question from it.
 //
 // All indexes are immutable after construction and safe for concurrent
 // readers. Query results are point IDs: positions in the point slice the
@@ -21,7 +21,16 @@ import (
 	"csdm/internal/geo"
 )
 
-// Index answers spatial queries over the point set it was built from.
+// Index answers circular range queries over the point set it was built
+// from.
+//
+// Domain: "within radius" is exact, by Haversine, for point sets and
+// queries that do not straddle the ±180° meridian. The grid's cells and
+// the R-tree's boxes do not wrap longitude, so they can miss a point
+// just across the meridian from the center: for a point at
+// (179.9999, 10), a 100 m query at (−179.9999, 10) returns nothing from
+// either, though the point lies 22 m away. No city workload crosses the
+// meridian.
 type Index interface {
 	// Within returns the IDs of all points within radius meters of
 	// center (inclusive), in unspecified order. It is WithinAppend with
@@ -38,12 +47,26 @@ type Index interface {
 	// capacity. Like append, the returned slice may share backing with
 	// buf or be a grown copy, so the caller must use the return value.
 	WithinAppend(center geo.Point, radius float64, buf []int) []int
-	// Nearest returns the IDs of the k points closest to q, ordered by
-	// increasing distance. Fewer than k IDs are returned when the index
-	// holds fewer points.
-	Nearest(q geo.Point, k int) []int
 	// Len returns the number of indexed points.
 	Len() int
+}
+
+// ClosestWithin returns the ID of the point closest to q among those
+// within radius meters of it, or -1 when none is. Distances are
+// geo.Haversine and ties go to the lowest ID, the rule of
+// geo.NearestIndex. pts are the points idx was built from. The range
+// query appends into buf[:0], and the grown buffer is returned for
+// reuse under WithinAppend's aliasing contract, so a caller that keeps
+// it allocates nothing once it has grown.
+func ClosestWithin(idx Index, pts []geo.Point, q geo.Point, radius float64, buf []int) (int, []int) {
+	buf = idx.WithinAppend(q, radius, buf[:0])
+	best, bestD := -1, 0.0
+	for _, id := range buf {
+		if d := geo.Haversine(q, pts[id]); best < 0 || d < bestD || d == bestD && id < best {
+			best, bestD = id, d
+		}
+	}
+	return best, buf
 }
 
 // Kind selects an Index implementation.
@@ -133,75 +156,4 @@ func AsGrid(idx Index) *Grid {
 	}
 	g, _ := idx.(*Grid)
 	return g
-}
-
-// heapItem pairs a point ID with its distance to the query point.
-type heapItem struct {
-	id   int
-	dist float64
-}
-
-// maxHeap is a bounded max-heap over distances used by kNN searches: the
-// root is the worst of the current k best candidates.
-type maxHeap []heapItem
-
-func (h maxHeap) worst() float64 { return h[0].dist }
-
-func (h *maxHeap) push(it heapItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if (*h)[parent].dist >= (*h)[i].dist {
-			break
-		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
-		i = parent
-	}
-}
-
-func (h *maxHeap) popRoot() heapItem {
-	root := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	*h = (*h)[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < len(*h) && (*h)[l].dist > (*h)[largest].dist {
-			largest = l
-		}
-		if r < len(*h) && (*h)[r].dist > (*h)[largest].dist {
-			largest = r
-		}
-		if largest == i {
-			break
-		}
-		(*h)[i], (*h)[largest] = (*h)[largest], (*h)[i]
-		i = largest
-	}
-	return root
-}
-
-// offer inserts it if the heap holds fewer than k items or it beats the
-// current worst, evicting the worst in the latter case.
-func (h *maxHeap) offer(it heapItem, k int) {
-	if len(*h) < k {
-		h.push(it)
-		return
-	}
-	if it.dist < h.worst() {
-		h.popRoot()
-		h.push(it)
-	}
-}
-
-// sortedIDs drains the heap into IDs ordered by increasing distance.
-func (h *maxHeap) sortedIDs() []int {
-	ids := make([]int, len(*h))
-	for i := len(*h) - 1; i >= 0; i-- {
-		ids[i] = h.popRoot().id
-	}
-	return ids
 }

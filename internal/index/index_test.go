@@ -1,7 +1,6 @@
 package index
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -34,21 +33,6 @@ func bruteWithin(pts []geo.Point, c geo.Point, r float64) []int {
 		}
 	}
 	return out
-}
-
-// bruteNearest is the reference implementation of Nearest.
-func bruteNearest(pts []geo.Point, q geo.Point, k int) []int {
-	ids := make([]int, len(pts))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		return geo.Haversine(q, pts[ids[a]]) < geo.Haversine(q, pts[ids[b]])
-	})
-	if k > len(ids) {
-		k = len(ids)
-	}
-	return ids[:k]
 }
 
 func sortedCopy(ids []int) []int {
@@ -92,41 +76,6 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pts := randomPoints(rng, 400, 2000)
-	pr := geo.NewProjection(origin)
-	for _, kind := range allKinds {
-		idx := New(kind, pts, 100)
-		for trial := 0; trial < 30; trial++ {
-			q := pr.ToPoint(geo.Meters{
-				X: (rng.Float64()*2 - 1) * 2500,
-				Y: (rng.Float64()*2 - 1) * 2500,
-			})
-			k := 1 + rng.Intn(20)
-			got := idx.Nearest(q, k)
-			want := bruteNearest(pts, q, k)
-			if len(got) != len(want) {
-				t.Fatalf("%v Nearest k=%d: got %d ids, want %d", kind, k, len(got), len(want))
-			}
-			// Compare by distance (ties may legitimately reorder IDs).
-			for i := range got {
-				dg := geo.Haversine(q, pts[got[i]])
-				dw := geo.Haversine(q, pts[want[i]])
-				if math.Abs(dg-dw) > 1e-6 {
-					t.Fatalf("%v Nearest k=%d rank %d: dist %.4f, want %.4f", kind, k, i, dg, dw)
-				}
-			}
-			// Result must be sorted by distance.
-			for i := 1; i < len(got); i++ {
-				if geo.Haversine(q, pts[got[i-1]]) > geo.Haversine(q, pts[got[i]])+1e-9 {
-					t.Fatalf("%v Nearest result not distance-sorted at %d", kind, i)
-				}
-			}
-		}
-	}
-}
-
 func TestWithinPropertyRandomConfigs(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 25}
 	f := func(seed int64, nRaw uint8, rRaw uint16) bool {
@@ -157,9 +106,6 @@ func TestEmptyIndexes(t *testing.T) {
 		if got := idx.Within(origin, 100); got != nil {
 			t.Errorf("%v empty Within = %v", kind, got)
 		}
-		if got := idx.Nearest(origin, 3); got != nil {
-			t.Errorf("%v empty Nearest = %v", kind, got)
-		}
 	}
 }
 
@@ -169,9 +115,6 @@ func TestSinglePointIndex(t *testing.T) {
 		idx := New(kind, pts, 100)
 		if got := idx.Within(origin, 1); len(got) != 1 || got[0] != 0 {
 			t.Errorf("%v single Within = %v", kind, got)
-		}
-		if got := idx.Nearest(origin, 5); len(got) != 1 || got[0] != 0 {
-			t.Errorf("%v single Nearest = %v", kind, got)
 		}
 	}
 }
@@ -183,9 +126,6 @@ func TestDuplicatePoints(t *testing.T) {
 		if got := idx.Within(origin, 0); len(got) != 4 {
 			t.Errorf("%v duplicates Within(r=0) = %d ids, want 4", kind, len(got))
 		}
-		if got := idx.Nearest(origin, 2); len(got) != 2 {
-			t.Errorf("%v duplicates Nearest = %d ids, want 2", kind, len(got))
-		}
 	}
 }
 
@@ -196,23 +136,6 @@ func TestNegativeRadiusAndZeroK(t *testing.T) {
 		idx := New(kind, pts, 100)
 		if got := idx.Within(origin, -5); got != nil {
 			t.Errorf("%v Within(r<0) = %v, want nil", kind, got)
-		}
-		if got := idx.Nearest(origin, 0); got != nil {
-			t.Errorf("%v Nearest(k=0) = %v, want nil", kind, got)
-		}
-		if got := idx.Nearest(origin, -1); got != nil {
-			t.Errorf("%v Nearest(k<0) = %v, want nil", kind, got)
-		}
-	}
-}
-
-func TestKLargerThanN(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pts := randomPoints(rng, 7, 500)
-	for _, kind := range allKinds {
-		got := New(kind, pts, 100).Nearest(origin, 100)
-		if len(got) != 7 {
-			t.Errorf("%v Nearest(k>n) returned %d ids, want 7", kind, len(got))
 		}
 	}
 }

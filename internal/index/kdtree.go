@@ -135,65 +135,3 @@ func (t *KDTree) rangeSearch(lo, hi, axis int, c geo.Meters, prune, radius float
 		t.rangeSearch(mid+1, hi, 1-axis, c, prune, radius, center, out)
 	}
 }
-
-// Nearest implements Index.
-func (t *KDTree) Nearest(q geo.Point, k int) []int {
-	if k <= 0 || t.pp.Len() == 0 {
-		return nil
-	}
-	if k > t.pp.Len() {
-		k = t.pp.Len()
-	}
-	c := t.proj.ToMeters(q)
-	h := make(maxHeap, 0, k+1)
-	t.knnSearch(0, len(t.ids), 0, c, q, k, &h)
-	return h.sortedIDs()
-}
-
-func (t *KDTree) knnSearch(lo, hi, axis int, c geo.Meters, q geo.Point, k int, h *maxHeap) {
-	if lo >= hi {
-		return
-	}
-	mid := (lo + hi) / 2
-	id := t.ids[mid]
-	h.offer(heapItem{id: id, dist: geo.Haversine(q, t.pp.At(id))}, k)
-
-	split := t.coord(id, axis)
-	var qc float64
-	if axis == 0 {
-		qc = c.X
-	} else {
-		qc = c.Y
-	}
-	near, far := lo, mid
-	nearHi, farHi := mid, hi
-	if qc > split {
-		near, nearHi = mid+1, hi
-		far, farHi = lo, mid
-	} else {
-		near, nearHi = lo, mid
-		far, farHi = mid+1, hi
-	}
-	t.knnSearch(near, nearHi, 1-axis, c, q, k, h)
-	// Visit the far side only if the splitting plane is closer than the
-	// current worst candidate. The plane distance is planar, the heap
-	// spherical: any point beating the worst lies within worst true
-	// meters, so its planar distance — and hence the plane's — is at
-	// most worst times the extent's distortion factor. Without a sound
-	// factor the far side is always visited.
-	planeDist := (qc - split)
-	if planeDist < 0 {
-		planeDist = -planeDist
-	}
-	visit := len(*h) < k
-	if !visit {
-		if f, ok := t.lats.inflation(t.proj.CosLat(), q.Lat, h.worst()); ok {
-			visit = planeDist <= h.worst()*f+1e-9
-		} else {
-			visit = true
-		}
-	}
-	if visit {
-		t.knnSearch(far, farHi, 1-axis, c, q, k, h)
-	}
-}

@@ -15,7 +15,6 @@ type metricsState struct {
 	every uint64
 	// per-Kind histograms, indexed by Kind (grid, kdtree, rtree).
 	within    [3]*obs.Histogram // csdm_index_query_seconds{backend,op="within"}
-	nearest   [3]*obs.Histogram // csdm_index_query_seconds{backend,op="nearest"}
 	withinLen [3]*obs.Histogram // csdm_index_query_results{backend,op="within"}
 }
 
@@ -28,9 +27,9 @@ var metricsHook atomic.Pointer[metricsState]
 const DefaultSampleEvery = 64
 
 // SetMetrics wires indexes built by New to a process-lifetime metrics
-// registry: every 1-in-every queries is timed into
-// csdm_index_query_seconds{backend,op} and (for range queries) its
-// result size into csdm_index_query_results{backend,op="within"}.
+// registry: every 1-in-every range queries is timed into
+// csdm_index_query_seconds{backend,op="within"} and its result size
+// recorded into csdm_index_query_results{backend,op="within"}.
 // every <= 0 means DefaultSampleEvery; every == 1 times every query.
 // Passing a nil registry detaches. Only the New factory instruments —
 // direct NewGrid/NewKDTree/NewRTree constructions stay raw, so
@@ -49,7 +48,6 @@ func SetMetrics(r *obs.Registry, every int) {
 	for _, k := range []Kind{KindGrid, KindKDTree, KindRTree} {
 		b := k.String()
 		st.within[k] = r.Histogram(obs.Label("csdm_index_query_seconds", "backend", b, "op", "within"), obs.DefBuckets)
-		st.nearest[k] = r.Histogram(obs.Label("csdm_index_query_seconds", "backend", b, "op", "nearest"), obs.DefBuckets)
 		st.withinLen[k] = r.Histogram(obs.Label("csdm_index_query_results", "backend", b, "op", "within"), obs.SizeBuckets)
 	}
 	metricsHook.Store(st)
@@ -91,16 +89,6 @@ func (s *sampled) WithinAppend(center geo.Point, radius float64, buf []int) []in
 	s.st.within[s.kind].Observe(time.Since(t0).Seconds())
 	s.st.withinLen[s.kind].Observe(float64(len(out) - n0))
 	return out
-}
-
-func (s *sampled) Nearest(q geo.Point, k int) []int {
-	if !s.tick() {
-		return s.Index.Nearest(q, k)
-	}
-	t0 := time.Now()
-	ids := s.Index.Nearest(q, k)
-	s.st.nearest[s.kind].Observe(time.Since(t0).Seconds())
-	return ids
 }
 
 // instrument wraps idx with sampling when the metrics hook is set.

@@ -20,9 +20,9 @@ func metricsTestPoints() []geo.Point {
 }
 
 // TestSampledQueries attaches a registry with every=1 (time every
-// query) and checks that all three query paths record latency, that
-// range queries record result sizes, and that the exposition passes
-// lint.
+// query) and checks that both range query paths record latency and
+// result sizes, that range queries are the only operation exposed, and
+// that the exposition passes lint.
 func TestSampledQueries(t *testing.T) {
 	r := obs.NewRegistry()
 	SetMetrics(r, 1)
@@ -37,17 +37,10 @@ func TestSampledQueries(t *testing.T) {
 		if len(plain) != len(buf) {
 			t.Fatalf("%v: instrumented Within/WithinAppend disagree: %d vs %d", kind, len(plain), len(buf))
 		}
-		if got := idx.Nearest(center, 5); len(got) != 5 {
-			t.Fatalf("%v: Nearest returned %d ids, want 5", kind, len(got))
-		}
 		b := kind.String()
 		lat := r.HistogramSnapshot(obs.Label("csdm_index_query_seconds", "backend", b, "op", "within"))
 		if lat.Count != 2 {
 			t.Fatalf("%v: within latency observations = %d, want 2", kind, lat.Count)
-		}
-		knn := r.HistogramSnapshot(obs.Label("csdm_index_query_seconds", "backend", b, "op", "nearest"))
-		if knn.Count != 1 {
-			t.Fatalf("%v: nearest latency observations = %d, want 1", kind, knn.Count)
 		}
 		size := r.HistogramSnapshot(obs.Label("csdm_index_query_results", "backend", b, "op", "within"))
 		if size.Count != 2 || size.Sum != float64(2*len(plain)) {
@@ -61,6 +54,11 @@ func TestSampledQueries(t *testing.T) {
 	}
 	if errs := obs.Lint(strings.NewReader(b.String())); len(errs) != 0 {
 		t.Fatalf("index metrics fail lint: %v\n%s", errs, b.String())
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "csdm_index_query_") && !strings.Contains(line, `op="within"`) {
+			t.Fatalf("index series for an operation other than within: %s", line)
+		}
 	}
 }
 

@@ -55,11 +55,6 @@ func TestPackedConformance(t *testing.T) {
 							t.Fatalf("%s trial %d: packed Within(%v, %.0f) vs brute:\ngot  %v\nwant %v",
 								kind, trial, qc, radius, sortedCopy(got), brute)
 						}
-						k := 1 + rng.Intn(6)
-						if gotNear, wantNear := packed.Nearest(qc, k), ref.Nearest(qc, k); !equalIDs(gotNear, wantNear) {
-							t.Fatalf("%s trial %d: packed Nearest(%v, %d) = %v, want %v",
-								kind, trial, qc, k, gotNear, wantNear)
-						}
 					}
 				}
 			}

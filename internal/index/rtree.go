@@ -190,78 +190,3 @@ func (t *RTree) searchBand(n *rtreeNode, box geo.Rect, center geo.Point, c geo.M
 		t.searchBand(ch, box, center, c, radius, rLo, rHi, out)
 	}
 }
-
-// Nearest implements Index using best-first branch-and-bound over node
-// rectangles.
-func (t *RTree) Nearest(q geo.Point, k int) []int {
-	if t.root == nil || k <= 0 {
-		return nil
-	}
-	if k > t.pp.Len() {
-		k = t.pp.Len()
-	}
-	h := make(maxHeap, 0, k+1)
-	t.knn(t.root, q, k, &h)
-	return h.sortedIDs()
-}
-
-func (t *RTree) knn(n *rtreeNode, q geo.Point, k int, h *maxHeap) {
-	if len(*h) == k && rectMinDist(q, n.rect) > h.worst() {
-		return
-	}
-	if n.children == nil {
-		for _, id := range n.ids {
-			h.offer(heapItem{id: id, dist: geo.Haversine(q, t.pp.At(id))}, k)
-		}
-		return
-	}
-	// Visit children nearest-first so the heap tightens quickly.
-	order := make([]int, len(n.children))
-	dists := make([]float64, len(n.children))
-	for i, ch := range n.children {
-		order[i] = i
-		dists[i] = rectMinDist(q, ch.rect)
-	}
-	sort.Slice(order, func(a, b int) bool { return dists[order[a]] < dists[order[b]] })
-	for _, i := range order {
-		t.knn(n.children[i], q, k, h)
-	}
-}
-
-// rectMinDist returns the minimum Haversine distance from q to the
-// lon/lat rectangle r — the pruning lower bound of the kNN search.
-//
-// Plain coordinate clamping is only correct on a flat map: on the
-// sphere the closest point of a meridian edge to q is not at q's
-// latitude but at the foot of the great-circle perpendicular,
-// tan φ_f = tan φ_q / cos Δλ, which diverges from the clamp latitude at
-// high latitudes and once overestimated the bound enough to prune nodes
-// holding true neighbors.
-func rectMinDist(q geo.Point, r geo.Rect) float64 {
-	if r.Contains(q) {
-		return 0
-	}
-	if q.Lon >= r.Min.Lon && q.Lon <= r.Max.Lon {
-		// Haversine is monotone in |Δφ| at fixed longitude, so the
-		// nearest rect point shares q's longitude on the closer parallel
-		// edge.
-		lat := math.Max(r.Min.Lat, math.Min(q.Lat, r.Max.Lat))
-		return geo.Haversine(q, geo.Point{Lon: q.Lon, Lat: lat})
-	}
-	// q lies beyond a meridian edge; Haversine is monotone in |Δλ| at
-	// fixed latitude, so the minimizer sits on the nearer edge. Its
-	// latitude is either an edge endpoint or the perpendicular foot.
-	edgeLon := math.Max(r.Min.Lon, math.Min(q.Lon, r.Max.Lon))
-	best := math.Min(
-		geo.Haversine(q, geo.Point{Lon: edgeLon, Lat: r.Min.Lat}),
-		geo.Haversine(q, geo.Point{Lon: edgeLon, Lat: r.Max.Lat}),
-	)
-	dLon := math.Abs(q.Lon-edgeLon) * math.Pi / 180
-	if cosD := math.Cos(dLon); cosD > 0 {
-		foot := math.Atan(math.Tan(q.Lat*math.Pi/180)/cosD) * 180 / math.Pi
-		if foot > r.Min.Lat && foot < r.Max.Lat {
-			best = math.Min(best, geo.Haversine(q, geo.Point{Lon: edgeLon, Lat: foot}))
-		}
-	}
-	return best
-}

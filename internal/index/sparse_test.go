@@ -34,9 +34,6 @@ func TestGridSparseFallback(t *testing.T) {
 			t.Fatalf("sparse Within mismatch: got %d, want %d ids", len(got), len(want))
 		}
 	}
-	if got := g.Nearest(pts[0], 5); len(got) != 5 {
-		t.Fatalf("sparse Nearest = %d ids", len(got))
-	}
 }
 
 // TestGridDensePathUsed confirms city-scale data stays on the dense

@@ -2,7 +2,6 @@ package poi
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -123,28 +122,4 @@ func coordReason(err error) string {
 		return "coord-" + ce.Reason
 	}
 	return "coord"
-}
-
-// WriteJSON writes POIs as a JSON array.
-func WriteJSON(w io.Writer, ps []POI) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(ps)
-}
-
-// ReadJSON parses a JSON array of POIs and validates categories and
-// coordinates.
-func ReadJSON(r io.Reader) ([]POI, error) {
-	var out []POI
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("poi: decode json: %w", err)
-	}
-	for i, p := range out {
-		if !p.Minor.Valid() {
-			return nil, fmt.Errorf("poi: entry %d: invalid minor category %d", i, p.Minor)
-		}
-		if !p.Location.Valid() {
-			return nil, fmt.Errorf("poi: entry %d: invalid location %v", i, p.Location)
-		}
-	}
-	return out, nil
 }

@@ -2,7 +2,7 @@
 // semantic properties (Definition 2). It ships the 15-major /
 // 98-minor-category taxonomy of the paper's Shanghai AMAP dataset
 // (Table 3), a compact bitset representation of semantic properties,
-// and CSV/JSON dataset I/O.
+// and CSV dataset I/O.
 package poi
 
 import (

@@ -246,35 +246,3 @@ func TestCSVRejectsMalformed(t *testing.T) {
 		}
 	}
 }
-
-func TestJSONRoundTrip(t *testing.T) {
-	ps := samplePOIs()
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, ps); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ps) {
-		t.Fatalf("round trip lost POIs")
-	}
-	for i := range ps {
-		if got[i] != ps[i] {
-			t.Fatalf("POI %d mismatch", i)
-		}
-	}
-}
-
-func TestJSONRejectsInvalid(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader(`[{"id":1,"minor":250,"location":{"lon":1,"lat":2}}]`)); err == nil {
-		t.Error("ReadJSON accepted invalid minor")
-	}
-	if _, err := ReadJSON(strings.NewReader(`[{"id":1,"minor":0,"location":{"lon":999,"lat":2}}]`)); err == nil {
-		t.Error("ReadJSON accepted invalid location")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{`)); err == nil {
-		t.Error("ReadJSON accepted truncated input")
-	}
-}

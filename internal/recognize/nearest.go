@@ -13,6 +13,7 @@ import (
 // boundaries it flip-flops between categories.
 type NearestPOIRecognizer struct {
 	pois   []poi.POI
+	locs   []geo.Point
 	idx    index.Index
 	radius float64
 }
@@ -23,9 +24,11 @@ type NearestPOIRecognizer struct {
 // silently ran its ablation baseline on a different backend than every
 // other stage.
 func NewNearestPOIRecognizer(pois []poi.POI, radius float64, kind index.Kind) *NearestPOIRecognizer {
+	locs := poi.Locations(pois)
 	return &NearestPOIRecognizer{
 		pois:   pois,
-		idx:    index.New(kind, poi.Locations(pois), radius),
+		locs:   locs,
+		idx:    index.New(kind, locs, radius),
 		radius: radius,
 	}
 }
@@ -33,12 +36,14 @@ func NewNearestPOIRecognizer(pois []poi.POI, radius float64, kind index.Kind) *N
 // Name implements Recognizer.
 func (r *NearestPOIRecognizer) Name() string { return "NearestPOI" }
 
-// RecognizeBuf implements Recognizer; the nearest-neighbor query keeps
-// no scratch.
-func (r *NearestPOIRecognizer) RecognizeBuf(p geo.Point, _ *Scratch) poi.Semantics {
-	near := r.idx.Nearest(p, 1)
-	if len(near) == 1 && geo.Haversine(p, r.pois[near[0]].Location) <= r.radius {
-		return r.pois[near[0]].Semantics()
+// RecognizeBuf implements Recognizer: the closest POI of a range
+// query at the radius, queried into sc's id buffer, so a warmed Scratch
+// makes the call allocation-free.
+func (r *NearestPOIRecognizer) RecognizeBuf(p geo.Point, sc *Scratch) poi.Semantics {
+	var id int
+	id, sc.ids = index.ClosestWithin(r.idx, r.locs, p, r.radius, sc.ids)
+	if id < 0 {
+		return 0
 	}
-	return 0
+	return r.pois[id].Semantics()
 }

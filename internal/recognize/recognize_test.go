@@ -306,6 +306,111 @@ func TestRecognizeStaysZeroAllocs(t *testing.T) {
 	}
 }
 
+// backends lists every index kind the recognizers can be built on.
+var backends = []index.Kind{index.KindGrid, index.KindKDTree, index.KindRTree}
+
+// bruteNearestPOI is the oracle of the nearest-POI baseline: a scan of
+// every POI, with no index, for the closest one within radius by
+// geo.Haversine, ties to the lowest position in pois.
+func bruteNearestPOI(pois []poi.POI, p geo.Point, radius float64) poi.Semantics {
+	best, bestD := -1, 0.0
+	for i, q := range pois {
+		if d := geo.Haversine(p, q.Location); d <= radius && (best < 0 || d < bestD) {
+			best, bestD = i, d
+		}
+	}
+	if best < 0 {
+		return 0
+	}
+	return pois[best].Semantics()
+}
+
+// TestNearestPOIMatchesBruteForce checks the nearest-POI recognizer
+// against the brute-force oracle on every backend: over every stay of
+// a small synthetic city, and on a hand-built set with two POIs of
+// different categories at identical coordinates, where the tie must go
+// to the lower position, and with stays just inside and just outside
+// the radius.
+func TestNearestPOIMatchesBruteForce(t *testing.T) {
+	cityPOIs, stays, _ := smallCity()
+	radius := csd.DefaultParams().R3Sigma
+	for _, kind := range backends {
+		r := NewNearestPOIRecognizer(cityPOIs, radius, kind)
+		sc := new(Scratch)
+		known := 0
+		for i, p := range stays {
+			want := bruteNearestPOI(cityPOIs, p, radius)
+			if got := r.RecognizeBuf(p, sc); got != want {
+				t.Fatalf("%s: stay %d: RecognizeBuf = %v, brute force %v", kind, i, got, want)
+			}
+			if !want.IsEmpty() {
+				known++
+			}
+		}
+		if known == 0 || known == len(stays) {
+			t.Fatalf("%s: %d of %d stays in range; want some in and some out", kind, known, len(stays))
+		}
+	}
+
+	pois := []poi.POI{
+		mkPOI(1, poi.Restaurant, -300, 0),
+		mkPOI(2, poi.ShopMarket, 300, 0),
+		mkPOI(3, poi.MedicalService, 300, 0),
+	}
+	probes := []struct {
+		p    geo.Point
+		want poi.Semantics
+	}{
+		{at(300, 0), poi.SemanticsOf(poi.ShopMarket)},
+		{at(330, 20), poi.SemanticsOf(poi.ShopMarket)},
+		{at(300, 99.5), poi.SemanticsOf(poi.ShopMarket)},
+		{at(300, 100.5), 0},
+		{at(-300, -100.5), 0},
+		{at(-260, 0), poi.SemanticsOf(poi.Restaurant)},
+	}
+	for _, kind := range backends {
+		r := NewNearestPOIRecognizer(pois, 100, kind)
+		sc := new(Scratch)
+		for i, pr := range probes {
+			want := bruteNearestPOI(pois, pr.p, 100)
+			if want != pr.want {
+				t.Fatalf("probe %d: brute force = %v, want %v", i, want, pr.want)
+			}
+			if got := r.RecognizeBuf(pr.p, sc); got != want {
+				t.Errorf("%s: probe %d: RecognizeBuf = %v, brute force %v", kind, i, got, want)
+			}
+		}
+	}
+}
+
+// TestNearestPOIRecognizeStaysZeroAllocs pins the nearest-POI
+// baseline to the zero-allocation contract: with a warmed Scratch, its
+// range query reuses the Scratch's id buffer and RecognizeStays
+// allocates nothing, on every backend.
+func TestNearestPOIRecognizeStaysZeroAllocs(t *testing.T) {
+	pois, stays, _ := smallCity()
+	probe := make([]trajectory.StayPoint, 3)
+	for i := range probe {
+		probe[i].P = stays[i]
+	}
+	ctx := context.Background()
+	for _, kind := range backends {
+		r := NewNearestPOIRecognizer(pois, csd.DefaultParams().R3Sigma, kind)
+		sc := new(Scratch)
+		if err := RecognizeStays(ctx, probe, r, sc); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := RecognizeStays(ctx, probe, r, sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: RecognizeStays with a warmed Scratch: %v allocs per run over %d stays, want 0", kind, allocs, len(probe))
+		}
+	}
+}
+
 // TestNearestPOIAnnotateWorkerInvariant checks that the nearest-POI
 // baseline annotates a database identically at one and four workers.
 func TestNearestPOIAnnotateWorkerInvariant(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"csdm/internal/geo"
 	"csdm/internal/index"
 	"csdm/internal/poi"
 	"csdm/internal/trajectory"
@@ -77,17 +76,19 @@ func ProfileTokyo() CheckinProfile {
 // grid, ignoring the pipeline's configured backend).
 func (c *City) SampleCheckins(js []trajectory.Journey, profile CheckinProfile, seed int64, kind index.Kind) []Checkin {
 	rng := rand.New(rand.NewSource(seed))
-	idx := index.New(kind, poi.Locations(c.POIs), 100)
-	var out []Checkin
+	locs := poi.Locations(c.POIs)
+	idx := index.New(kind, locs, 100)
+	var (
+		out []Checkin
+		buf []int
+		id  int
+	)
 	for _, j := range js {
-		near := idx.Nearest(j.Dropoff, 1)
-		if len(near) == 0 {
+		id, buf = index.ClosestWithin(idx, locs, j.Dropoff, 150, buf)
+		if id < 0 {
 			continue
 		}
-		p := c.POIs[near[0]]
-		if geo.Haversine(j.Dropoff, p.Location) > 150 {
-			continue
-		}
+		p := c.POIs[id]
 		if rng.Float64() < profile.Acceptance[p.Major()] {
 			out = append(out, Checkin{Topic: p.Minor})
 		}
