@@ -1,11 +1,11 @@
 package csdm
 
-// Pipeline benchmarks on the bench city: CSD-PM extraction alone at a
-// pinned worker budget, the cold end-to-end pipeline, and the spatial
-// index race. The paper's tables and figures are regenerated by
-// cmd/experiments and their shapes asserted by internal/experiments'
-// tests; the shared environment here also feeds floors_test.go,
-// delta_test.go and shard_equiv_test.go.
+// Pipeline benchmarks on the bench city: CSD-PM extraction alone and
+// all six approaches' extraction at a pinned worker budget, the cold
+// end-to-end pipeline, and the spatial index race. The paper's tables
+// and figures are regenerated by cmd/experiments and their shapes
+// asserted by internal/experiments' tests; the shared environment here
+// also feeds floors_test.go, delta_test.go and shard_equiv_test.go.
 
 import (
 	"context"
@@ -88,24 +88,64 @@ func BenchmarkMine(b *testing.B) {
 // returns a benchmark of CSD-PM extraction over its prebuilt
 // recognition database, so only extraction is measured.
 func mineBench(workers int) func(*testing.B) {
+	params := benchParams()
+	return extractBench(workers, []core.RecognizerKind{core.RecCSD},
+		func(ctx context.Context, p *core.Pipeline) (int, error) {
+			ps, err := p.MineCtx(ctx, core.CSDPM, params)
+			return len(ps), err
+		})
+}
+
+// BenchmarkMineAll times MineAllCtx with both recognition databases
+// prebuilt: the six approaches' extraction, fanned out over the worker
+// pool by stage.RunEach. workers-1 runs the approaches one after
+// another; workers-2 measures what the approach-level fan-out pays on
+// two cores.
+func BenchmarkMineAll(b *testing.B) {
+	params := benchParams()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers-%d", workers), extractBench(workers,
+			[]core.RecognizerKind{core.RecCSD, core.RecROI},
+			func(ctx context.Context, p *core.Pipeline) (int, error) {
+				res, err := p.MineAllCtx(ctx, params)
+				if err != nil {
+					return 0, err
+				}
+				n := 0
+				for _, r := range res {
+					if r.Err != nil {
+						return 0, fmt.Errorf("%v: %w", r.Approach, r.Err)
+					}
+					n += len(r.Patterns)
+				}
+				return n, nil
+			}))
+	}
+}
+
+// extractBench builds the bench city at a pinned worker budget,
+// prebuilds the recognition databases of kinds, and returns a
+// benchmark of mine, which reports the patterns it found, so only
+// extraction is measured.
+func extractBench(workers int, kinds []core.RecognizerKind, mine func(context.Context, *core.Pipeline) (int, error)) func(*testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.Workers = workers
 	env := experiments.SetupConfig(benchScale(), cfg)
-	params := benchParams()
 	return func(b *testing.B) {
 		ctx := context.Background()
-		if _, err := env.Pipeline.DatabaseCtx(ctx, core.RecCSD); err != nil {
-			b.Fatal(err)
+		for _, kind := range kinds {
+			if _, err := env.Pipeline.DatabaseCtx(ctx, kind); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		var n int
 		for i := 0; i < b.N; i++ {
-			ps, err := env.Pipeline.MineCtx(ctx, core.CSDPM, params)
-			if err != nil {
+			var err error
+			if n, err = mine(ctx, env.Pipeline); err != nil {
 				b.Fatal(err)
 			}
-			n = len(ps)
 		}
 		b.ReportMetric(float64(n), "patterns")
 	}

@@ -95,6 +95,11 @@ func TestCLIExitCodes(t *testing.T) {
 		t.Errorf("missing input: exit %d, want %d\n%s", code, exitInput, out)
 	}
 	if code, out := runCLI(t, bin, "-pois", pois, "-journeys", journeys,
+		"-checkpoint", filepath.Join(dir, "ck"), "-ingest", journeys,
+		"-keep-generations", "-3", "ingest"); code != exitUsage {
+		t.Errorf("negative -keep-generations: exit %d, want %d\n%s", code, exitUsage, out)
+	}
+	if code, out := runCLI(t, bin, "-pois", pois, "-journeys", journeys,
 		"-fault", "csd.popularity:error:1", "diagram"); code != exitPipeline {
 		t.Errorf("injected build fault: exit %d, want %d\n%s", code, exitPipeline, out)
 	}

@@ -313,6 +313,9 @@ func main() {
 		if *deltaBatch < 1 {
 			die(exitUsage, fmt.Errorf("-delta-batch must be at least 1, got %d", *deltaBatch))
 		}
+		if *keepGens < 0 {
+			die(exitUsage, fmt.Errorf("-keep-generations must not be negative, got %d", *keepGens))
+		}
 		if err := runIngest(pipe, mgr, *ingestPath, *deltaBatch, *keepGens, opts); err != nil {
 			die(exitPipeline, err)
 		}

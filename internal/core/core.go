@@ -227,11 +227,10 @@ func NewPipeline(pois []poi.POI, journeys []trajectory.Journey, cfg Config) *Pip
 	// SetCheckpoints may be wired after construction.
 	p.graph = stage.NewGraph(func() stage.Config {
 		return stage.Config{
-			Trace:         p.trace,
-			Opt:           p.cfg.ExecOptions(),
-			StageTimeout:  p.cfg.StageTimeout,
-			Store:         p.store,
-			CounterPrefix: "core.stage",
+			Trace:        p.trace,
+			Opt:          p.cfg.ExecOptions(),
+			StageTimeout: p.cfg.StageTimeout,
+			Store:        p.store,
 		}
 	})
 

@@ -272,8 +272,8 @@ func TestStageTimeoutFailsSlowStage(t *testing.T) {
 	if !strings.Contains(err.Error(), "csd.build") {
 		t.Errorf("err does not name the stage: %v", err)
 	}
-	if got := tr.Counter("core.stage.timeouts"); got == 0 {
-		t.Error("counter core.stage.timeouts not bumped")
+	if got := tr.Counter(obs.Label("csdm_stage_timeouts_total", "stage", "csd.build")); got == 0 {
+		t.Error("csd.build stage timeout not counted")
 	}
 
 	fault.Activate(nil)

@@ -56,7 +56,7 @@ func FuzzReadDiagram(f *testing.F) {
 	f.Add(valid[:headerSize])      // header only
 	f.Add(valid[:3])               // truncated header
 	f.Add([]byte{})                // empty
-	f.Add([]byte(`{"version":1}`)) // legacy JSON, incomplete
+	f.Add([]byte(`{"version":1}`)) // bare JSON, incomplete
 	f.Add([]byte("CSDFgarbagegarbagegarbage"))
 	// Hostile length field: header claims 2^60 payload bytes.
 	hostile := append([]byte(nil), valid[:headerSize]...)
@@ -69,13 +69,15 @@ func FuzzReadDiagram(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 	// v1 (no lineage fields) and v2 frames around the JSON payload
-	// Write emitted before v3.
+	// Write emitted before v3: valid files of their time that Read
+	// must refuse.
 	payload := jsonPayload(f, fuzzSeed())
-	v1 := frame(framingVersionV1, 0, 0, payload)
+	v1 := frame(1, 0, 0, payload)
 	f.Add(v1)
-	f.Add(v1[:headerSizeV1-2]) // truncated v1 header
-	f.Add(frame(framingVersionV2, 3, 2, payload))
+	f.Add(v1[:15]) // truncated v1 header (a full one was 17 bytes)
+	f.Add(frame(2, 3, 2, payload))
 
+	v3Prefix := append([]byte(diagramMagic), framingVersion)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Read(bytes.NewReader(data))
 		if err != nil {
@@ -83,6 +85,9 @@ func FuzzReadDiagram(f *testing.F) {
 				t.Fatal("empty error message")
 			}
 			return
+		}
+		if !bytes.HasPrefix(data, v3Prefix) {
+			t.Fatalf("accepted input without a framing v3 header: % x", data[:min(len(data), prefixSize)])
 		}
 		// A diagram Read accepts must survive a write/read round trip.
 		var buf bytes.Buffer
@@ -98,13 +103,13 @@ func FuzzReadDiagram(f *testing.F) {
 func TestReadRejectsCorruptInputs(t *testing.T) {
 	valid := fuzzSeedDiagram()
 	cases := map[string][]byte{
-		"empty":          {},
-		"short header":   valid[:5],
-		"bad magic":      append([]byte("XXXX"), valid[4:]...),
-		"truncated":      valid[:len(valid)-10],
-		"header only":    valid[:headerSize],
-		"legacy garbage": []byte(`{"version":99}`),
-		"not a file":     []byte("hello world, this is not a diagram"),
+		"empty":        {},
+		"short header": valid[:5],
+		"bad magic":    append([]byte("XXXX"), valid[4:]...),
+		"truncated":    valid[:len(valid)-10],
+		"header only":  valid[:headerSize],
+		"JSON garbage": []byte(`{"version":99}`),
+		"not a file":   []byte("hello world, this is not a diagram"),
 	}
 	// Bit flips anywhere in the payload must fail the CRC.
 	for _, off := range []int{headerSize, headerSize + 37, len(valid) - 2} {
@@ -116,19 +121,6 @@ func TestReadRejectsCorruptInputs(t *testing.T) {
 		if _, err := Read(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: Read accepted corrupt input", name)
 		}
-	}
-}
-
-// TestReadLegacyFormat keeps the pre-framing bare-JSON format loadable:
-// the JSON payload alone, with no header, is exactly the legacy format.
-func TestReadLegacyFormat(t *testing.T) {
-	seed := fuzzSeed()
-	d, err := Read(bytes.NewReader(jsonPayload(t, seed)))
-	if err != nil {
-		t.Fatalf("legacy read: %v", err)
-	}
-	if len(d.Units) == 0 || len(d.Units) != len(seed.Units) {
-		t.Fatalf("legacy read: %d units, want %d", len(d.Units), len(seed.Units))
 	}
 }
 

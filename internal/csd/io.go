@@ -14,27 +14,26 @@ import (
 	"csdm/internal/poi"
 )
 
-// diagramFile is the decoded form of every payload version: the binary
-// payload of framing v3 and the JSON payload of v1, v2 and legacy
-// files all decode into it, and diagramFromFile validates it. POIs and
-// popularity are stored in full so a loaded diagram can answer every
-// query a freshly built one can.
+// diagramFile is the decoded form of a payload: decodePayload fills it
+// and diagramFromFile validates it. POIs and popularity are stored in
+// full so a loaded diagram can answer every query a freshly built one
+// can.
 type diagramFile struct {
-	Version int       `json:"version"`
-	Params  Params    `json:"params"`
-	POIs    []poi.POI `json:"pois"`
-	Pop     []float64 `json:"pop"`
+	Version int
+	Params  Params
+	POIs    []poi.POI
+	Pop     []float64
 	// Units stores only the member lists; semantics and centers are
 	// derived on load.
-	Units [][]int `json:"units"`
+	Units [][]int
 }
 
-// diagramFileVersion guards the diagram content format. It leads both
-// the binary payload and the JSON one ("version").
+// diagramFileVersion guards the diagram content format. It leads the
+// payload.
 const diagramFileVersion = 1
 
 // The framed container around the payload: a fixed header of magic,
-// framing version, lineage (since v2), payload length and payload CRC.
+// framing version, lineage, payload length and payload CRC.
 // The header lets Read reject truncated or bit-flipped files before
 // trusting any content — checkpoint resume depends on never loading a
 // half-written diagram — and the length is only ever used to bound
@@ -46,19 +45,16 @@ const diagramFileVersion = 1
 // byte-identical payloads (the streaming e2e check compares an
 // incremental generation against a full rebuild by payload bytes).
 //
-// Framing v3 keeps the v2 header and replaces the JSON payload with a
-// compact little-endian binary one (see appendPayload). Write emits
-// only v3; v2 and v1 frames and pre-framing bare-JSON files remain
-// readable, and v1 and legacy lineage loads as zero.
+// The payload is compact little-endian binary (see appendPayload).
+// Framing v3 is the only version written or read: earlier framings
+// carried a JSON payload, and Read refuses them, as it refuses the
+// headerless bare-JSON files that preceded the frame.
 const (
-	diagramMagic     = "CSDF"
-	framingVersionV1 = 1
-	framingVersionV2 = 2
-	framingVersion   = 3
-	prefixSize       = 4 + 1                      // magic + version byte
-	headerSizeV1     = prefixSize + 8 + 4         // + length + CRC32
-	headerSize       = prefixSize + 8 + 8 + 8 + 4 // + generation + parent + length + CRC32 (v2, v3)
-	lenOffset        = prefixSize + 8 + 8         // length field offset (tests corrupt it)
+	diagramMagic   = "CSDF"
+	framingVersion = 3
+	prefixSize     = 4 + 1                      // magic + version byte
+	headerSize     = prefixSize + 8 + 8 + 8 + 4 // + generation + parent + length + CRC32
+	lenOffset      = prefixSize + 8 + 8         // length field offset (tests corrupt it)
 )
 
 // poiRecordMin is the smallest encoded POI record: ID, a one-byte name
@@ -290,28 +286,16 @@ func decodePayload(b []byte) (diagramFile, error) {
 	return f, r.err
 }
 
-// decodeJSONPayload decodes the JSON payload of framing v1 and v2 and
-// of legacy bare-JSON files. Anything but whitespace after the JSON
-// value is refused.
-func decodeJSONPayload(b []byte) (diagramFile, error) {
-	var f diagramFile
-	if err := json.Unmarshal(b, &f); err != nil {
-		return f, fmt.Errorf("csd: decode diagram: %w", err)
-	}
-	return f, nil
-}
-
 // Read loads a diagram written by Write, verifying the header frame
 // (magic, version, exact payload length, CRC) before decoding the
 // payload and rebuilding the derived state (unit semantics, centers,
-// the member index). Framing v3 carries the binary payload; v2 and v1
-// frames (JSON payload; v1 without lineage fields) and legacy
-// headerless files (bare JSON from before the framed format) are still
-// accepted, v1 and legacy with zero generation. Any truncated, corrupt
-// or adversarial input yields a descriptive error — never a panic, and
-// never an allocation sized by an untrusted field (see readPayload and
-// payloadReader.count), so a hostile length or count bounds reading,
-// not memory.
+// the member index). Only framing v3 is accepted: a file of an earlier
+// framing is refused as an unsupported framing version, and a
+// headerless one (the bare JSON of the first format) by its bad magic.
+// Any truncated, corrupt or adversarial input yields a descriptive
+// error — never a panic, and never an allocation sized by an untrusted
+// field (see readPayload and payloadReader.count), so a hostile length
+// or count bounds reading, not memory.
 func Read(r io.Reader) (*Diagram, error) {
 	var pre [prefixSize]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
@@ -321,43 +305,19 @@ func Read(r io.Reader) (*Diagram, error) {
 		return nil, fmt.Errorf("csd: read diagram header: %w", err)
 	}
 	if string(pre[0:4]) != diagramMagic {
-		// Legacy format: bare JSON, no integrity frame. The first byte of
-		// a JSON object is '{'; anything else is garbage.
-		if pre[0] != '{' {
-			return nil, fmt.Errorf("csd: bad magic %q: not a diagram file", pre[0:4])
-		}
-		data, err := io.ReadAll(io.MultiReader(bytes.NewReader(pre[:]), r))
-		if err != nil {
-			return nil, fmt.Errorf("csd: read legacy diagram: %w", err)
-		}
-		f, err := decodeJSONPayload(data)
-		if err != nil {
-			return nil, err
-		}
-		return diagramFromFile(f)
+		return nil, fmt.Errorf("csd: bad magic %q: not a diagram file", pre[0:4])
 	}
-	var gen, parent, length uint64
-	var wantCRC uint32
-	switch pre[4] {
-	case framingVersionV1:
-		var tail [headerSizeV1 - prefixSize]byte
-		if _, err := io.ReadFull(r, tail[:]); err != nil {
-			return nil, fmt.Errorf("csd: truncated v1 diagram header: %w", err)
-		}
-		length = binary.LittleEndian.Uint64(tail[0:8])
-		wantCRC = binary.LittleEndian.Uint32(tail[8:12])
-	case framingVersionV2, framingVersion:
-		var tail [headerSize - prefixSize]byte
-		if _, err := io.ReadFull(r, tail[:]); err != nil {
-			return nil, fmt.Errorf("csd: truncated v%d diagram header: %w", pre[4], err)
-		}
-		gen = binary.LittleEndian.Uint64(tail[0:8])
-		parent = binary.LittleEndian.Uint64(tail[8:16])
-		length = binary.LittleEndian.Uint64(tail[16:24])
-		wantCRC = binary.LittleEndian.Uint32(tail[24:28])
-	default:
+	if pre[4] != framingVersion {
 		return nil, fmt.Errorf("csd: unsupported framing version %d", pre[4])
 	}
+	var tail [headerSize - prefixSize]byte
+	if _, err := io.ReadFull(r, tail[:]); err != nil {
+		return nil, fmt.Errorf("csd: truncated diagram header: %w", err)
+	}
+	gen := binary.LittleEndian.Uint64(tail[0:8])
+	parent := binary.LittleEndian.Uint64(tail[8:16])
+	length := binary.LittleEndian.Uint64(tail[16:24])
+	wantCRC := binary.LittleEndian.Uint32(tail[24:28])
 	payload, err := readPayload(r, length)
 	if err != nil {
 		return nil, fmt.Errorf("csd: read payload: %w", err)
@@ -371,12 +331,7 @@ func Read(r io.Reader) (*Diagram, error) {
 	if gen > math.MaxInt64 || parent > math.MaxInt64 {
 		return nil, fmt.Errorf("csd: implausible generation lineage %d/%d", gen, parent)
 	}
-	var f diagramFile
-	if pre[4] == framingVersion {
-		f, err = decodePayload(payload)
-	} else {
-		f, err = decodeJSONPayload(payload)
-	}
+	f, err := decodePayload(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -445,8 +400,7 @@ func ReadFile(path string) (*Diagram, error) {
 
 // diagramFromFile validates a decoded payload and materializes the
 // diagram. Every cross-reference is bounds-checked before use so a
-// corrupt payload that survives the CRC (or a legacy file) still cannot
-// crash the loader.
+// corrupt payload that survives the CRC still cannot crash the loader.
 func diagramFromFile(f diagramFile) (*Diagram, error) {
 	if f.Version != diagramFileVersion {
 		return nil, fmt.Errorf("csd: unsupported diagram version %d", f.Version)

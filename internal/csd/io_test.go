@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
-	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -64,11 +63,18 @@ func TestDiagramRoundTrip(t *testing.T) {
 	}
 }
 
-// jsonPayload encodes d as the JSON payload of framing v1 and v2 and of
-// legacy bare-JSON files: what Write emitted before framing v3.
+// jsonPayload encodes d as the JSON payload of framings v1 and v2 and
+// of the headerless bare-JSON files before them: what Write emitted
+// before framing v3, and what Read now refuses.
 func jsonPayload(t testing.TB, d *Diagram) []byte {
 	t.Helper()
-	f := diagramFile{
+	f := struct {
+		Version int       `json:"version"`
+		Params  Params    `json:"params"`
+		POIs    []poi.POI `json:"pois"`
+		Pop     []float64 `json:"pop"`
+		Units   [][]int   `json:"units"`
+	}{
 		Version: diagramFileVersion,
 		Params:  d.Params,
 		POIs:    d.POIs,
@@ -86,10 +92,10 @@ func jsonPayload(t testing.TB, d *Diagram) []byte {
 }
 
 // frame wraps payload in a header of the given framing version with a
-// correct length and CRC; v1 has no lineage fields.
+// correct length and CRC; framing v1 had no lineage fields.
 func frame(version byte, gen, parent int64, payload []byte) []byte {
 	b := append([]byte(diagramMagic), version)
-	if version != framingVersionV1 {
+	if version != 1 {
 		b = binary.LittleEndian.AppendUint64(b, uint64(gen))
 		b = binary.LittleEndian.AppendUint64(b, uint64(parent))
 	}
@@ -139,30 +145,9 @@ func expectRejected(t *testing.T, cases map[string][]byte, want map[string]strin
 }
 
 // TestDiagramReadRejectsCorrupt: each corrupt payload sits in a frame
-// with a correct CRC, so only decoding and validation can refuse it —
-// for the JSON payload of framing v2 and the binary one of v3.
+// with a correct CRC, so only decoding and validation can refuse it.
 func TestDiagramReadRejectsCorrupt(t *testing.T) {
 	d := buildSample(t)
-	valid := string(jsonPayload(t, d))
-	v2 := func(payload string) []byte { return frame(framingVersionV2, 0, 0, []byte(payload)) }
-
-	badCategory := regexp.MustCompile(`"minor":\d+`).ReplaceAllString(valid, `"minor":250`)
-	cases := map[string][]byte{
-		"truncated":      v2(valid)[:len(valid)/2],
-		"bad version":    v2(strings.Replace(valid, `"version":1`, `"version":9`, 1)),
-		"bad category":   v2(badCategory),
-		"member overlap": v2(strings.Replace(valid, `"units":[[`, `"units":[[0,0,`, 1)),
-		"pop mismatch":   v2(strings.Replace(valid, `"pop":[`, `"pop":[999999,`, 1)),
-	}
-	want := map[string]string{
-		"truncated":      "truncated",
-		"bad version":    "unsupported diagram version",
-		"bad category":   "invalid category",
-		"member overlap": "multiple units",
-		"pop mismatch":   "popularity length",
-	}
-	expectRejected(t, cases, want)
-
 	var buf bytes.Buffer
 	if err := d.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -174,7 +159,7 @@ func TestDiagramReadRejectsCorrupt(t *testing.T) {
 	}
 	// Offset of the POI count: version byte, params length, params.
 	countAt := 1 + len(binary.AppendUvarint(nil, uint64(len(params)))) + len(params)
-	cases = map[string][]byte{
+	cases := map[string][]byte{
 		"truncated": v3[:len(v3)/2],
 		"bad version": reframeV3(v3, func(p []byte) []byte {
 			p[0] = 9
@@ -194,7 +179,7 @@ func TestDiagramReadRejectsCorrupt(t *testing.T) {
 			return append(out, p[countAt+k:]...)
 		}),
 	}
-	want = map[string]string{
+	want := map[string]string{
 		"truncated":      "truncated",
 		"bad version":    "unsupported diagram version",
 		"bad category":   "invalid category",
@@ -205,49 +190,52 @@ func TestDiagramReadRejectsCorrupt(t *testing.T) {
 }
 
 // TestDiagramReadRejectsOutOfRangeMember: a member index past the POI
-// list, inside a CRC-valid v2 (JSON) and v3 (binary) frame.
+// list, inside a CRC-valid frame.
 func TestDiagramReadRejectsOutOfRangeMember(t *testing.T) {
 	d := buildSample(t)
-	payload := strings.Replace(string(jsonPayload(t, d)), `"units":[[`, `"units":[[99999,`, 1)
 	last := len(d.Units) - 1
 	cases := map[string][]byte{
-		"v2": frame(framingVersionV2, 0, 0, []byte(payload)),
 		"v3": writeV3(t, d, func(c *Diagram) {
 			c.Units[last].Members = append(slices.Clone(c.Units[last].Members), 99999)
 		}),
 	}
-	expectRejected(t, cases, map[string]string{"v2": "out of range", "v3": "out of range"})
+	expectRejected(t, cases, map[string]string{"v3": "out of range"})
 }
 
-// TestReadRejectsTrailingJunk: bytes after the payload's content are
-// refused in every format — after the JSON value of a v1 or v2 frame
-// or a legacy file, and after the units of a v3 payload — while the
-// JSON encoder's trailing newline stays acceptable.
+// TestReadRejectsTrailingJunk: bytes after the units of a payload are
+// refused, even inside a CRC-valid frame.
 func TestReadRejectsTrailingJunk(t *testing.T) {
 	d := buildSample(t)
-	payload := jsonPayload(t, d)
-	junk := append(slices.Clone(payload), "xyz-not-json"...)
 	var buf bytes.Buffer
 	if err := d.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
+	junk := reframeV3(buf.Bytes(), func(p []byte) []byte {
+		return append(p, "xyz"...)
+	})
+	if _, err := Read(bytes.NewReader(junk)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Errorf("trailing junk: err = %v, want a trailing bytes error", err)
+	}
+}
+
+// TestReadRefusesPreV3Formats: the formats Write emitted before framing
+// v3 — a v1 frame (no lineage), a v2 frame and the headerless bare JSON
+// before them, each a valid file of its time — are refused by the
+// header, as an unsupported framing version or a bad magic.
+func TestReadRefusesPreV3Formats(t *testing.T) {
+	d := buildSample(t)
+	payload := jsonPayload(t, d)
 	cases := map[string][]byte{
-		"v1":     frame(framingVersionV1, 0, 0, junk),
-		"v2":     frame(framingVersionV2, 0, 0, junk),
-		"legacy": junk,
-		"v3": reframeV3(buf.Bytes(), func(p []byte) []byte {
-			return append(p, "xyz"...)
-		}),
+		"v1":        frame(1, 0, 0, payload),
+		"v2":        frame(2, 4, 3, payload),
+		"bare JSON": payload,
 	}
-	for name, data := range cases {
-		if _, err := Read(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: Read accepted trailing junk", name)
-		}
+	want := map[string]string{
+		"v1":        "unsupported framing version 1",
+		"v2":        "unsupported framing version 2",
+		"bare JSON": "bad magic",
 	}
-	spaced := append(slices.Clone(payload), " \t\r\n"...)
-	if _, err := Read(bytes.NewReader(frame(framingVersionV2, 0, 0, spaced))); err != nil {
-		t.Errorf("trailing whitespace refused: %v", err)
-	}
+	expectRejected(t, cases, want)
 }
 
 // TestLineageRoundTrip: generation and parent live in the header and
@@ -277,29 +265,6 @@ func TestLineageRoundTrip(t *testing.T) {
 	}
 	if bytes.Equal(a.Bytes()[:headerSize], b.Bytes()[:headerSize]) {
 		t.Fatal("header did not change with generation")
-	}
-}
-
-// TestReadFramingV1 keeps pre-lineage framed files loadable: a v1 header
-// (no generation fields) around the JSON payload of its time reads back
-// with zero lineage.
-func TestReadFramingV1(t *testing.T) {
-	d := buildSample(t)
-	v1 := frame(framingVersionV1, 0, 0, jsonPayload(t, d))
-
-	got, err := Read(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 read: %v", err)
-	}
-	if got.Generation != 0 || got.ParentGeneration != 0 {
-		t.Fatalf("v1 lineage: got %d/%d, want 0/0", got.Generation, got.ParentGeneration)
-	}
-	if len(got.Units) != len(d.Units) {
-		t.Fatalf("v1 units: got %d, want %d", len(got.Units), len(d.Units))
-	}
-	// Truncated v1 header must be rejected, not misparsed.
-	if _, err := Read(bytes.NewReader(v1[:headerSizeV1-3])); err == nil {
-		t.Fatal("truncated v1 header accepted")
 	}
 }
 
@@ -369,36 +334,5 @@ func TestPayloadRoundTripProperties(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("Write→Read→Write is not byte-identical")
-	}
-}
-
-// TestJSONSnapshotRewritesAsV3: a v2 (JSON) snapshot of a bench-style
-// synthetic city, read and re-written, comes out as framing v3 and
-// reloads to the same Pop bits, POIs, units, UnitOf and lineage.
-func TestJSONSnapshotRewritesAsV3(t *testing.T) {
-	stays, city := maintWorkload(t)
-	d := Build(city.POIs, stays, DefaultParams())
-	if len(d.Units) == 0 {
-		t.Fatal("sample city built no units")
-	}
-	old, err := Read(bytes.NewReader(frame(framingVersionV2, 4, 3, jsonPayload(t, d))))
-	if err != nil {
-		t.Fatalf("v2 read: %v", err)
-	}
-	requireSameContent(t, d, old)
-	var buf bytes.Buffer
-	if err := old.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if v := buf.Bytes()[4]; v != framingVersion {
-		t.Fatalf("rewritten snapshot has framing version %d, want %d", v, framingVersion)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("v3 read: %v", err)
-	}
-	requireSameContent(t, d, got)
-	if got.Generation != 4 || got.ParentGeneration != 3 {
-		t.Fatalf("lineage %d/%d, want 4/3", got.Generation, got.ParentGeneration)
 	}
 }

@@ -21,12 +21,6 @@ type KDTree struct {
 	ids []int
 }
 
-// NewKDTree builds a k-d tree over pts. It is a thin adapter over
-// NewKDTreePacked.
-func NewKDTree(pts []geo.Point) *KDTree {
-	return NewKDTreePacked(geo.Pack(pts))
-}
-
 // NewKDTreePacked builds a k-d tree over a packed coordinate store,
 // batch-projecting it at the centroid unless already projected. The
 // tree aliases the store's slices; the caller must not mutate pp

@@ -32,8 +32,9 @@ const DefaultSampleEvery = 64
 // recorded into csdm_index_query_results{backend,op="within"}.
 // every <= 0 means DefaultSampleEvery; every == 1 times every query.
 // Passing a nil registry detaches. Only the New factory instruments —
-// direct NewGrid/NewKDTree/NewRTree constructions stay raw, so
-// benchmarks and tests of the backends themselves are never perturbed.
+// direct NewGrid/NewKDTreePacked/NewRTreePacked constructions stay
+// raw, so benchmarks and tests of the backends themselves are never
+// perturbed.
 func SetMetrics(r *obs.Registry, every int) {
 	if r == nil {
 		metricsHook.Store(nil)

@@ -29,12 +29,6 @@ type rtreeNode struct {
 	ids      []int        // point IDs, leaves only
 }
 
-// NewRTree bulk-loads an R-tree over pts. It is a thin adapter over
-// NewRTreePacked.
-func NewRTree(pts []geo.Point) *RTree {
-	return NewRTreePacked(geo.Pack(pts))
-}
-
 // NewRTreePacked bulk-loads an R-tree over a packed coordinate store,
 // batch-projecting it at the centroid unless already projected. The
 // tree aliases the store's slices; the caller must not mutate pp

@@ -47,9 +47,6 @@ type Config struct {
 	MaxLen int
 }
 
-// DefaultConfig mines patterns of 2–5 stays with the paper's σ = 50.
-func DefaultConfig() Config { return Config{MinSupport: 50, MinLen: 2, MaxLen: 5} }
-
 // projection is a pseudo-projected suffix: sequence seq starting at pos.
 type projection struct {
 	seq int

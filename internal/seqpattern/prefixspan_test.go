@@ -125,7 +125,7 @@ func TestMineSupportIsPerSequence(t *testing.T) {
 }
 
 func TestMineEmptyAndDegenerate(t *testing.T) {
-	if ps := mustMine(t, nil, DefaultConfig(), exec.Options{Workers: 1}); len(ps) != 0 {
+	if ps := mustMine(t, nil, Config{MinSupport: 50, MinLen: 2, MaxLen: 5}, exec.Options{Workers: 1}); len(ps) != 0 {
 		t.Error("empty db should yield no patterns")
 	}
 	if ps := mustMine(t, []Sequence{{}, {}}, Config{MinSupport: 1, MinLen: 1, MaxLen: 3}, exec.Options{Workers: 1}); len(ps) != 0 {

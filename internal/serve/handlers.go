@@ -196,7 +196,8 @@ func semanticsNames(s poi.Semantics) []string {
 }
 
 // handleInfo reports the live snapshot: generation, sizes, extent.
-// loadgen reads it to sample query points inside the served city.
+// Clients read the extent to sample query points inside the served
+// city.
 func (s *Server) handleInfo(_ context.Context, w http.ResponseWriter, _ *http.Request) error {
 	snap := s.snap.Load()
 	if snap == nil {

@@ -32,9 +32,6 @@
 //     moment draining begins, so a load balancer stops routing before
 //     connections close; Drain bounds connection draining with a
 //     timeout and reports whether every in-flight request finished.
-//
-// The package also houses the load-generation engine behind
-// cmd/loadgen.
 package serve
 
 import (
@@ -127,7 +124,7 @@ type Snapshot struct {
 	// the same file) or jump (catching up on a stream).
 	Generation int64
 	// DiagramGeneration is the diagram's lineage generation from the
-	// .csdf framing header (0 for one-shot builds and legacy files);
+	// .csdf framing header (0 for one-shot builds);
 	// DiagramParent is the generation it was derived from. A watcher
 	// following a streaming ingester sees these advance with each
 	// published delta.

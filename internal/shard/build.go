@@ -107,7 +107,7 @@ func Build(env stage.Env, pois []poi.POI, src StaySource, cfg Config) (*csd.Diag
 	}
 
 	g := stage.NewGraph(func() stage.Config {
-		return stage.Config{Trace: env.Trace, Opt: env.Opt, Store: cfg.Ckpt, CounterPrefix: "shard.stage"}
+		return stage.Config{Trace: env.Trace, Opt: env.Opt, Store: cfg.Ckpt}
 	})
 	kernel := geo.NewGaussianKernel(cfg.Params.R3Sigma)
 	totalStays := st.TotalStays

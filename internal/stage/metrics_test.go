@@ -43,9 +43,6 @@ func TestStageMetrics(t *testing.T) {
 	if got := reg.Counter(obs.Label("csdm_stage_errors_total", "stage", "fine")); got != 0 {
 		t.Fatalf("fine stage counted an error: %d", got)
 	}
-	if got := tr.Counter("stage.errors"); got != 1 {
-		t.Fatalf("stage.errors = %d, want 1", got)
-	}
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -57,7 +54,7 @@ func TestStageMetrics(t *testing.T) {
 }
 
 // TestStageTimeoutMetric: a deadline overrun bumps the labeled timeout
-// counter alongside the legacy dotted one.
+// counter of the stage that overran.
 func TestStageTimeoutMetric(t *testing.T) {
 	tr := obs.New()
 	reg := tr.Registry()
@@ -71,9 +68,6 @@ func TestStageTimeoutMetric(t *testing.T) {
 	}
 	if got := reg.Counter(obs.Label("csdm_stage_timeouts_total", "stage", "slow")); got != 1 {
 		t.Fatalf("timeout counter = %d, want 1", got)
-	}
-	if got := tr.Counter("stage.timeouts"); got != 1 {
-		t.Fatalf("stage.timeouts = %d, want 1", got)
 	}
 }
 

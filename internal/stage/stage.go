@@ -1,8 +1,8 @@
 // Package stage is the pipeline's stage-graph engine: one execution
 // environment and one middleware stack for every stage of the Pervasive
-// Miner, replacing the per-concern plumbing (trace, worker options,
-// per-stage deadlines, fault sites, checkpoints, lazy cells) that PRs
-// 1–3 threaded through every stage signature by hand.
+// Miner, carrying the cross-cutting concerns (trace, worker options,
+// per-stage deadlines, fault sites, checkpoints, lazy cells) so no stage
+// signature has to.
 //
 // A stage is a named func(Env) (T, error). Env carries everything a
 // stage body needs — the stage-scoped context, the run's context for
@@ -28,7 +28,7 @@
 // poisons the cell; the next Get retries. One-shot stages (Run) go
 // through the same middleware without memoization, and RunEach fans a
 // batch of them out over the bounded worker pool with per-slot panic
-// isolation — the semantics core.MineAllCtx used to hand-roll.
+// isolation, as core.MineAllCtx needs for its six approaches.
 package stage
 
 import (
@@ -45,8 +45,8 @@ import (
 )
 
 // Env is the execution environment a stage body runs in. It bundles
-// the values that used to ride as extra parameters on every stage
-// signature (ctx, *obs.Trace, exec.Options).
+// the values a body would otherwise take as extra parameters (ctx,
+// *obs.Trace, exec.Options).
 type Env struct {
 	// Ctx is the stage-scoped context: the run's context with the
 	// per-stage deadline applied. Bodies poll and pass down this one.
@@ -109,17 +109,6 @@ type Config struct {
 	// Store enables the checkpoint middleware for stages declaring an
 	// artifact; nil disables it.
 	Store Store
-	// CounterPrefix prefixes the engine's counters ("<prefix>.timeouts",
-	// "<prefix>.runs"). Empty means "stage". core sets "core.stage" to
-	// keep the historical counter names.
-	CounterPrefix string
-}
-
-func (c Config) prefix() string {
-	if c.CounterPrefix == "" {
-		return "stage"
-	}
-	return c.CounterPrefix
 }
 
 // Decl is the static description of a stage: its name, documented
@@ -435,7 +424,6 @@ func run[T any](g *Graph, ctx context.Context, decl Decl, codec *Codec[T], fn Fu
 			env.Ctx = sctx
 			v, err := next(env)
 			if err != nil && env.Run.Err() == nil && errors.Is(sctx.Err(), context.DeadlineExceeded) {
-				cfg.Trace.Add(cfg.prefix()+".timeouts", 1)
 				if cfg.Trace != nil {
 					cfg.Trace.Add(obs.Label("csdm_stage_timeouts_total", "stage", decl.Name), 1)
 				}
@@ -454,7 +442,6 @@ func run[T any](g *Graph, ctx context.Context, decl Decl, codec *Codec[T], fn Fu
 	// tree stays exactly the middleware chain the engine tests pin.
 	sp := cfg.Trace.Start("stage." + decl.Name)
 	defer sp.End()
-	cfg.Trace.Add(cfg.prefix()+".runs", 1)
 	env := Env{Ctx: ctx, Run: ctx, Span: sp, Trace: cfg.Trace, Opt: cfg.Opt}
 	var started time.Time
 	if cfg.Trace != nil {
@@ -464,7 +451,6 @@ func run[T any](g *Graph, ctx context.Context, decl Decl, codec *Codec[T], fn Fu
 	if cfg.Trace != nil {
 		cfg.Trace.Observe(obs.Label("csdm_stage_duration_seconds", "stage", decl.Name), time.Since(started).Seconds())
 		if err != nil {
-			cfg.Trace.Add(cfg.prefix()+".errors", 1)
 			cfg.Trace.Add(obs.Label("csdm_stage_errors_total", "stage", decl.Name), 1)
 		}
 	}

@@ -87,8 +87,9 @@ func TestMiddlewareOrder(t *testing.T) {
 		}
 		cur = &cur.Children[0]
 	}
-	if got := tr.Counter("stage.runs"); got != 1 {
-		t.Fatalf("stage.runs = %d, want 1", got)
+	name := obs.Label("csdm_stage_duration_seconds", "stage", "order")
+	if got := tr.Registry().HistogramSnapshot(name).Count; got != 1 {
+		t.Fatalf("%s observations = %d, want 1", name, got)
 	}
 }
 
@@ -249,8 +250,8 @@ func TestStageDeadline(t *testing.T) {
 	if !strings.Contains(err.Error(), "stage slow exceeded its") {
 		t.Fatalf("timeout error not classified: %v", err)
 	}
-	if got := tr.Counter("stage.timeouts"); got != 1 {
-		t.Fatalf("stage.timeouts = %d, want 1", got)
+	if got := tr.Counter(obs.Label("csdm_stage_timeouts_total", "stage", "slow")); got != 1 {
+		t.Fatalf("slow stage timeouts = %d, want 1", got)
 	}
 }
 
@@ -269,8 +270,8 @@ func TestRunCancelNotRelabeled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("err = %v, want plain cancellation", err)
 	}
-	if got := tr.Counter("stage.timeouts"); got != 0 {
-		t.Fatalf("stage.timeouts = %d, want 0", got)
+	if got := tr.Counter(obs.Label("csdm_stage_timeouts_total", "stage", "canceled")); got != 0 {
+		t.Fatalf("canceled stage timeouts = %d, want 0", got)
 	}
 }
 
