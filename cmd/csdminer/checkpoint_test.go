@@ -57,13 +57,15 @@ func TestCheckpointResumeAfterInterruption(t *testing.T) {
 
 	// Run 1 is "interrupted": the diagram stage completes and
 	// checkpoints, then the process dies before annotation starts —
-	// prepare is simply never called for the database stages.
+	// the database stages are simply never built.
 	tr1 := obs.New()
 	m1, err := ckpt.New(dir, tr1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prepare(checkpointPipeline(t, tr1), m1, true); err != nil {
+	p1 := checkpointPipeline(t, tr1)
+	p1.SetCheckpoints(m1)
+	if _, err := p1.DiagramCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr1.Counter("ckpt.saved.diagram"); got != 1 {
@@ -79,7 +81,11 @@ func TestCheckpointResumeAfterInterruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2 := checkpointPipeline(t, tr2)
-	if err := prepare(p2, m2, true, core.RecCSD); err != nil {
+	p2.SetCheckpoints(m2)
+	if _, err := p2.DiagramCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p2.DatabaseCtx(context.Background(), core.RecCSD); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr2.Counter("ckpt.resume.diagram"); got != 1 {
@@ -102,7 +108,11 @@ func TestCheckpointResumeAfterInterruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	p3 := checkpointPipeline(t, tr3)
-	if err := prepare(p3, m3, true, core.RecCSD); err != nil {
+	p3.SetCheckpoints(m3)
+	if _, err := p3.DiagramCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p3.DatabaseCtx(context.Background(), core.RecCSD); err != nil {
 		t.Fatal(err)
 	}
 	if tr3.Counter("ckpt.resume.diagram") != 1 || tr3.Counter("ckpt.resume.db-csd") != 1 {

@@ -103,8 +103,46 @@ func TestCLIExitCodes(t *testing.T) {
 		"-fault", "csd.popularity:error:1", "diagram"); code != exitPipeline {
 		t.Errorf("injected build fault: exit %d, want %d\n%s", code, exitPipeline, out)
 	}
-	if code, out := runCLI(t, bin, "-pois", pois, "-journeys", journeys, "diagram"); code != 0 {
+	snap := filepath.Join(dir, "snap.csdf")
+	if code, out := runCLI(t, bin, "-pois", pois, "-journeys", journeys, "-save-diagram", snap, "diagram"); code != 0 {
 		t.Errorf("healthy diagram run: exit %d\n%s", code, out)
+	}
+
+	// Usage errors exit 2 before any input is opened or the checkpoint
+	// directory is created.
+	ck := filepath.Join(dir, "ck-usage")
+	nope := filepath.Join(dir, "nope.csv")
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"ingest usage with a missing POI file", []string{"-pois", nope, "-journeys", journeys,
+			"-checkpoint", ck, "-ingest", journeys, "-keep-generations", "-3", "ingest"}},
+		{"unknown subcommand with missing inputs", []string{"-pois", nope, "-journeys", nope, "explode"}},
+		{"unknown subcommand with -checkpoint", []string{"-pois", pois, "-journeys", journeys,
+			"-checkpoint", ck, "explode"}},
+		{"-shards with mine", []string{"-pois", pois, "-journeys", journeys, "-shards", "2x2", "mine"}},
+		{"-shards with recognize", []string{"-pois", pois, "-journeys", journeys, "-shards", "2x2", "recognize"}},
+		{"-load-diagram with ingest", []string{"-pois", pois, "-journeys", journeys, "-load-diagram", snap,
+			"-checkpoint", ck, "-ingest", journeys, "ingest"}},
+	} {
+		if code, out := runCLI(t, bin, tc.args...); code != exitUsage {
+			t.Errorf("%s: exit %d, want %d\n%s", tc.name, code, exitUsage, out)
+		}
+		if _, err := os.Stat(ck); !os.IsNotExist(err) {
+			t.Fatalf("%s: checkpoint directory exists after a usage error (stat: %v)", tc.name, err)
+		}
+	}
+
+	if code, out := runCLI(t, bin, "-pois", pois, "-journeys", journeys,
+		"-checkpoint", filepath.Join(dir, "ck-ingest"), "-ingest", nope, "ingest"); code != exitInput {
+		t.Errorf("missing -ingest file: exit %d, want %d\n%s", code, exitInput, out)
+	}
+	// The ROI fallback still runs when the CSD stages are checkpointed.
+	if code, out := runCLI(t, bin, "-pois", pois, "-journeys", journeys,
+		"-checkpoint", filepath.Join(dir, "ck-degraded"), "-degraded-fallback",
+		"-fault", "csd.popularity:error:1", "mine"); code != 0 {
+		t.Errorf("checkpointed degraded mine: exit %d, want 0\n%s", code, out)
 	}
 }
 

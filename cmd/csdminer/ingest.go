@@ -3,16 +3,14 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 	"time"
 
 	"csdm/internal/ckpt"
 	"csdm/internal/core"
-	"csdm/internal/load"
 	"csdm/internal/trajectory"
 )
 
-// runIngest streams a journey file into the diagram as delta batches.
+// runIngest streams a journey log into the diagram as delta batches.
 // The maintainer seeds from the pipeline's base journeys (generation
 // 1, bit-identical to a one-shot build), each batch of batchJourneys
 // stream journeys applies as one delta, and every resulting generation
@@ -21,21 +19,7 @@ import (
 // csdserve -watch (or a crash-restarted one) only ever loads complete
 // generations. One machine-parseable line per applied batch goes to
 // stdout.
-func runIngest(pipe *core.Pipeline, mgr *ckpt.Manager, streamPath string, batchJourneys, keepGens int, opts load.Options) error {
-	f, err := os.Open(streamPath)
-	if err != nil {
-		return fmt.Errorf("open stream: %w", err)
-	}
-	stream, stats, err := trajectory.ReadJourneysCSVOptions(f, opts)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("load stream %s: %w", streamPath, err)
-	}
-	if opts.Lenient {
-		if n := stats.TotalSkipped(); n > 0 {
-			progress("stream: skipped %d bad rows (%s)", n, stats)
-		}
-	}
+func runIngest(pipe *core.Pipeline, mgr *ckpt.Manager, stream []trajectory.Journey, batchJourneys, keepGens int) error {
 	progress("streaming %d journeys in batches of %d", len(stream), batchJourneys)
 
 	ctx := context.Background()

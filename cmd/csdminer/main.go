@@ -22,6 +22,12 @@
 // generations beyond -keep-generations are pruned. stdout carries one
 // machine-parseable line per applied batch.
 //
+// -shards RxC builds the diagram geo-sharded for the diagram subcommand
+// only: the journey file is streamed into an out-of-core stay store
+// and never held in memory, and the result is bit-identical to the
+// monolithic build. recognize and mine need the journeys in memory, so
+// they refuse it, as does ingest.
+//
 // Progress and timing messages go to stderr; stdout carries only the
 // machine-parseable results. -workers bounds the parallelism of every
 // pipeline stage (1 = sequential; results are identical either way)
@@ -41,7 +47,10 @@
 // each completed stage to a directory so an interrupted run resumes
 // past finished work; -stage-timeout bounds every pipeline stage with
 // its own deadline. The exit code classifies failures: 2 for usage
-// errors, 3 for input errors, 4 for pipeline failures.
+// errors, 3 for input errors, 4 for pipeline failures. Usage is checked
+// in full before any I/O: a bad command line exits 2 without opening
+// an input, creating the -checkpoint directory or starting the debug
+// listener. Every output file is written atomically.
 package main
 
 import (
@@ -125,20 +134,72 @@ func main() {
 		ingestPath  = flag.String("ingest", "", "journey CSV to stream into the diagram as deltas (ingest)")
 		deltaBatch  = flag.Int("delta-batch", 500, "journeys per delta batch (ingest)")
 		keepGens    = flag.Int("keep-generations", 0, "prune generation snapshots beyond the newest N (0 = keep all; ingest)")
-		shardSpec   = flag.String("shards", "", "build the diagram geo-sharded as RxC tiles (e.g. 3x3): per-tile popularity over halo-loaded stays, bit-identical to the monolithic build")
+		shardSpec   = flag.String("shards", "", "build the diagram geo-sharded as RxC tiles (e.g. 3x3; diagram only): per-tile popularity over halo-loaded stays, bit-identical to the monolithic build")
 		shardWk     = flag.Int("shard-workers", 0, "with -shards, shard fan-out bound (0 = all cores); peak resident stays ≈ shard-workers × largest halo load")
 	)
 	flag.Parse()
+
+	// Every usage check runs here, before any input is opened, the
+	// checkpoint directory is created or the debug listener starts.
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: csdminer [flags] diagram|recognize|mine|ingest")
 		os.Exit(exitUsage)
 	}
 	cmd := flag.Arg(0)
-
-	if in, err := fault.Parse(*faultSpec, *faultSeed); err != nil {
+	usage := func(format string, args ...any) { die(exitUsage, fmt.Errorf(format, args...)) }
+	switch cmd {
+	case "diagram", "recognize", "mine", "ingest":
+	default:
+		usage("unknown subcommand %q", cmd)
+	}
+	var chosen core.Approach
+	var err error
+	if cmd == "mine" {
+		if chosen, err = core.ApproachByName(*approach); err != nil {
+			die(exitUsage, err)
+		}
+	}
+	kind, err := index.ParseKind(*indexKind)
+	if err != nil {
 		die(exitUsage, err)
-	} else if in != nil {
-		fault.Activate(in)
+	}
+	injector, err := fault.Parse(*faultSpec, *faultSeed)
+	if err != nil {
+		die(exitUsage, err)
+	}
+	// The sharded build streams the journey file into an out-of-core
+	// stay store and never materializes the journeys, so it serves the
+	// diagram subcommand only: recognize and mine need the journeys in
+	// memory anyway, and ingest's maintainer owns its own build.
+	shardRows, shardCols := 0, 0
+	if *shardSpec != "" {
+		if shardRows, shardCols, err = shard.ParseTiling(*shardSpec); err != nil {
+			die(exitUsage, err)
+		}
+		if cmd != "diagram" {
+			usage("-shards applies to diagram only, not %s", cmd)
+		}
+		if *loadDiagram != "" {
+			usage("-shards and -load-diagram are mutually exclusive")
+		}
+	}
+	if cmd == "ingest" {
+		switch {
+		case *ingestPath == "":
+			usage("ingest requires -ingest <stream.csv>")
+		case *checkpoint == "":
+			usage("ingest requires -checkpoint (generation snapshots live there)")
+		case *deltaBatch < 1:
+			usage("-delta-batch must be at least 1, got %d", *deltaBatch)
+		case *keepGens < 0:
+			usage("-keep-generations must not be negative, got %d", *keepGens)
+		case *loadDiagram != "":
+			usage("-load-diagram does not apply to ingest (the maintainer seeds from -journeys)")
+		}
+	}
+
+	if injector != nil {
+		fault.Activate(injector)
 		progress("fault injection active: %s (seed %d)", *faultSpec, *faultSeed)
 	}
 
@@ -185,10 +246,6 @@ func main() {
 	if *workers != 0 {
 		cfg.Workers = *workers
 	}
-	kind, err := index.ParseKind(*indexKind)
-	if err != nil {
-		die(exitUsage, err)
-	}
 	cfg.Index = kind
 	cfg.StageTimeout = *stageTO
 	cfg.DegradedFallback = *degraded
@@ -200,62 +257,32 @@ func main() {
 		}
 	}
 
-	// Sharded mode: decide up front whether this run builds the diagram
-	// geo-sharded, because the `diagram` subcommand can then stream the
-	// journey file straight into an out-of-core stay store and never
-	// materialize the journeys at all.
-	shardRows, shardCols := 0, 0
-	if *shardSpec != "" {
-		if shardRows, shardCols, err = shard.ParseTiling(*shardSpec); err != nil {
-			die(exitUsage, err)
-		}
-		if cmd == "ingest" {
-			die(exitUsage, fmt.Errorf("-shards does not apply to ingest (the incremental maintainer owns its own build)"))
-		}
-		if *loadDiagram != "" {
-			die(exitUsage, fmt.Errorf("-shards and -load-diagram are mutually exclusive"))
-		}
+	opts := load.Options{Lenient: *lenient, MaxBadRows: *maxBadRows, Trace: tr}
+	pois, err := loadPOIs(*poiPath, opts)
+	if err != nil {
+		die(exitInput, err)
 	}
-	shardCSD := *shardSpec != ""
-	if cmd == "mine" && shardCSD {
-		chosen, err := core.ApproachByName(*approach)
-		if err != nil {
-			die(exitUsage, err)
+	var journeys, stream []trajectory.Journey
+	var stays *shard.StayStore
+	if shardRows > 0 {
+		if stays, err = spillStays(*journeyPath, opts); err != nil {
+			die(exitInput, err)
 		}
-		// ROI-recognizer approaches never touch the diagram; don't
-		// build one shardedly just to ignore it.
-		shardCSD = chosen.Recognizer == core.RecCSD
+		defer stays.Close()
+	} else if journeys, err = loadJourneys(*journeyPath, opts); err != nil {
+		die(exitInput, err)
+	}
+	if cmd == "ingest" {
+		if stream, err = loadJourneys(*ingestPath, opts); err != nil {
+			die(exitInput, err)
+		}
 	}
 
-	opts := load.Options{Lenient: *lenient, MaxBadRows: *maxBadRows, Trace: tr}
-	var pois []poi.POI
-	var journeys []trajectory.Journey
-	var staySrc shard.StaySource
-	if shardCSD && cmd == "diagram" {
-		// Out-of-core path: POIs in memory (they parameterize the
-		// plan), stays spilled to a columnar store that shards load by
-		// halo rectangle.
-		var store *shard.StayStore
-		var cleanup func()
-		pois, store, cleanup, err = loadShardInputs(*poiPath, *journeyPath, opts)
-		if err != nil {
-			die(exitInput, err)
-		}
-		defer cleanup()
-		staySrc = store
-	} else {
-		pois, journeys, err = loadInputs(*poiPath, *journeyPath, opts)
-		if err != nil {
-			die(exitInput, err)
-		}
-		if shardCSD {
-			// recognize/mine need the journeys resident anyway; the
-			// sharded build reads their stays in place.
-			staySrc = shard.MemStays(core.Stays(journeys))
-		}
-	}
 	pipe := core.NewPipeline(pois, journeys, cfg)
 	pipe.SetTrace(tr)
+	if mgr != nil {
+		pipe.SetCheckpoints(mgr)
+	}
 	stagesPipe.Store(pipe)
 	if *loadDiagram != "" {
 		d, err := csd.ReadFile(*loadDiagram)
@@ -265,8 +292,8 @@ func main() {
 		pipe.UseDiagram(d)
 		progress("loaded diagram with %d units from %s", len(d.Units), *loadDiagram)
 	}
-	if shardCSD {
-		d, err := buildSharded(tr, cfg, pois, staySrc, shardRows, shardCols, *shardWk, mgr)
+	if stays != nil {
+		d, err := buildSharded(tr, cfg, pois, stays, shardRows, shardCols, *shardWk, mgr)
 		if err != nil {
 			die(exitPipeline, err)
 		}
@@ -275,52 +302,33 @@ func main() {
 
 	switch cmd {
 	case "diagram":
-		if err := prepare(pipe, mgr, true); err != nil {
-			die(exitPipeline, err)
-		}
-		if err := runDiagram(pipe, *saveDiagram); err != nil {
-			die(exitPipeline, err)
-		}
+		err = runDiagram(pipe, *saveDiagram)
 	case "recognize":
-		if err := prepare(pipe, mgr, true, core.RecCSD); err != nil {
-			die(exitPipeline, err)
-		}
-		if err := runRecognize(pipe, *out); err != nil {
-			die(exitPipeline, err)
-		}
+		err = runRecognize(pipe, *out)
 	case "mine":
-		chosen, err := core.ApproachByName(*approach)
-		if err != nil {
-			die(exitUsage, err)
-		}
 		params := pattern.DefaultParams()
 		params.Sigma = *sigma
 		params.Rho = *rho
 		params.DeltaT = *deltaT
-		if err := prepare(pipe, mgr, chosen.Recognizer == core.RecCSD, chosen.Recognizer); err != nil {
-			die(exitPipeline, err)
-		}
-		if err := runMine(pipe, chosen, params, *top, *savePattern); err != nil {
-			die(exitPipeline, err)
-		}
+		err = runMine(pipe, chosen, params, *top, *savePattern)
 	case "ingest":
-		if *ingestPath == "" {
-			die(exitUsage, fmt.Errorf("ingest requires -ingest <stream.csv>"))
+		err = runIngest(pipe, mgr, stream, *deltaBatch, *keepGens)
+	}
+	if err != nil {
+		die(exitPipeline, err)
+	}
+	if mgr != nil {
+		// The stage engine resumed or saved each checkpointed artifact
+		// the subcommand needed; report which.
+		for _, st := range pipe.Stages() {
+			switch {
+			case st.Artifact == "":
+			case st.Origin == stage.OriginResumed:
+				progress("resumed %s from %s", st.Artifact, mgr.Dir())
+			case st.Origin == stage.OriginBuilt:
+				progress("checkpointed %s to %s", st.Artifact, mgr.Dir())
+			}
 		}
-		if mgr == nil {
-			die(exitUsage, fmt.Errorf("ingest requires -checkpoint (generation snapshots live there)"))
-		}
-		if *deltaBatch < 1 {
-			die(exitUsage, fmt.Errorf("-delta-batch must be at least 1, got %d", *deltaBatch))
-		}
-		if *keepGens < 0 {
-			die(exitUsage, fmt.Errorf("-keep-generations must not be negative, got %d", *keepGens))
-		}
-		if err := runIngest(pipe, mgr, *ingestPath, *deltaBatch, *keepGens, opts); err != nil {
-			die(exitPipeline, err)
-		}
-	default:
-		die(exitUsage, fmt.Errorf("unknown subcommand %q", cmd))
 	}
 
 	if *traceFlag {
@@ -349,152 +357,87 @@ func main() {
 	}
 }
 
-// prepare runs the shared stages the subcommand needs eagerly under
-// the checkpoint policy. The sequencing itself — try the checkpoint
-// directory, rebuild on a miss or a corrupt artifact, persist after
-// building — lives in the stage engine's checkpoint middleware now;
-// this function only attaches the store, forces the stages the
-// subcommand needs, and reports each artifact's origin. With no
-// manager the stages stay lazy and nothing is persisted.
-func prepare(pipe *core.Pipeline, m *ckpt.Manager, needDiagram bool, kinds ...core.RecognizerKind) error {
-	if m == nil {
-		return nil
+// readInput opens the input file at path and hands it to read. A read
+// error names the file; on success the rows kept (as what) and any rows
+// a lenient read skipped are reported on stderr. Every csdminer input
+// loads through it.
+func readInput(what, path string, read func(io.Reader) (load.Stats, error)) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
 	}
-	pipe.SetCheckpoints(m)
-	ctx := context.Background()
-	for _, k := range kinds {
-		if k == core.RecCSD {
-			needDiagram = true
-		}
+	defer f.Close()
+	stats, err := read(f)
+	if err != nil {
+		return fmt.Errorf("load %s: %w", path, err)
 	}
-	if needDiagram {
-		d, err := pipe.DiagramCtx(ctx)
-		if err != nil {
-			return fmt.Errorf("build diagram: %w", err)
-		}
-		switch pipe.DiagramOrigin() {
-		case stage.OriginResumed:
-			progress("resumed diagram (%d units) from %s", len(d.Units), m.Dir())
-		case stage.OriginBuilt:
-			progress("checkpointed diagram to %s", m.Dir())
-		}
+	if n := stats.TotalSkipped(); n > 0 {
+		progress("%s: skipped %d bad rows (%s)", path, n, stats.String())
 	}
-	for _, k := range kinds {
-		name := pipe.DatabaseArtifact(k)
-		db, err := pipe.DatabaseCtx(ctx, k)
-		if err != nil {
-			return fmt.Errorf("annotate %s: %w", name, err)
-		}
-		switch pipe.DatabaseOrigin(k) {
-		case stage.OriginResumed:
-			progress("resumed %s (%d trajectories) from %s", name, len(db), m.Dir())
-		case stage.OriginBuilt:
-			progress("checkpointed %s to %s", name, m.Dir())
-		}
-	}
+	progress("loaded %d %s from %s", stats.Rows, what, path)
 	return nil
 }
 
-// loadInputs reads both input files under the given failure policy,
-// wrapping every error with the file it came from. In lenient mode the
-// per-file skip statistics are reported on stderr.
-func loadInputs(poiPath, journeyPath string, opts load.Options) ([]poi.POI, []trajectory.Journey, error) {
-	pf, err := os.Open(poiPath)
-	if err != nil {
-		return nil, nil, fmt.Errorf("load pois: %w", err)
-	}
-	defer pf.Close()
-	pois, pstats, err := poi.ReadCSVOptions(pf, opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("load pois %s: %w", poiPath, err)
-	}
-	jf, err := os.Open(journeyPath)
-	if err != nil {
-		return nil, nil, fmt.Errorf("load journeys: %w", err)
-	}
-	defer jf.Close()
-	journeys, jstats, err := trajectory.ReadJourneysCSVOptions(jf, opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("load journeys %s: %w", journeyPath, err)
-	}
-	if opts.Lenient {
-		if n := pstats.TotalSkipped(); n > 0 {
-			progress("pois: skipped %d bad rows (%s)", n, pstats)
-		}
-		if n := jstats.TotalSkipped(); n > 0 {
-			progress("journeys: skipped %d bad rows (%s)", n, jstats)
-		}
-	}
-	progress("loaded %d POIs, %d journeys", len(pois), len(journeys))
-	return pois, journeys, nil
+// loadPOIs reads a POI CSV file under the given failure policy.
+func loadPOIs(path string, opts load.Options) (pois []poi.POI, err error) {
+	err = readInput("POIs", path, func(r io.Reader) (st load.Stats, err error) {
+		pois, st, err = poi.ReadCSVOptions(r, opts)
+		return st, err
+	})
+	return pois, err
 }
 
-// loadShardInputs is the out-of-core input path for sharded diagram
-// builds: POIs load normally, but the journey file is streamed —
-// never materialized — into a temporary columnar stay store whose
-// chunks shards later load by halo rectangle. The returned cleanup
-// closes and removes the spill file.
-func loadShardInputs(poiPath, journeyPath string, opts load.Options) ([]poi.POI, *shard.StayStore, func(), error) {
-	pf, err := os.Open(poiPath)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("load pois: %w", err)
-	}
-	defer pf.Close()
-	pois, pstats, err := poi.ReadCSVOptions(pf, opts)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("load pois %s: %w", poiPath, err)
-	}
-	if opts.Lenient {
-		if n := pstats.TotalSkipped(); n > 0 {
-			progress("pois: skipped %d bad rows (%s)", n, pstats)
-		}
-	}
+// loadJourneys reads a journey CSV file (-journeys or -ingest) under
+// the given failure policy.
+func loadJourneys(path string, opts load.Options) (js []trajectory.Journey, err error) {
+	err = readInput("journeys", path, func(r io.Reader) (st load.Stats, err error) {
+		js, st, err = trajectory.ReadJourneysCSVOptions(r, opts)
+		return st, err
+	})
+	return js, err
+}
+
+// spillStays is the out-of-core input path of the sharded diagram
+// build: the journey file is streamed, never materialized, into a
+// temporary columnar stay store whose chunks shards later load by halo
+// rectangle. The spill file is unlinked as soon as the store is open —
+// the open descriptor keeps it readable — so no exit path leaves it
+// behind.
+func spillStays(path string, opts load.Options) (*shard.StayStore, error) {
 	tmp, err := os.CreateTemp("", "csdm-stays-*.csdstay")
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("spill stays: %w", err)
+		return nil, fmt.Errorf("spill stays: %w", err)
 	}
 	spill := tmp.Name()
 	tmp.Close()
+	defer os.Remove(spill)
 	w, err := shard.CreateStayStore(spill, 0)
 	if err != nil {
-		os.Remove(spill)
-		return nil, nil, nil, err
+		return nil, err
 	}
-	jf, err := os.Open(journeyPath)
-	if err != nil {
-		os.Remove(spill)
-		return nil, nil, nil, fmt.Errorf("load journeys: %w", err)
-	}
-	defer jf.Close()
-	jstats, err := trajectory.StreamJourneysCSV(jf, opts, func(j trajectory.Journey) error {
-		// Pickup then dropoff per journey — core.Stays' canonical
-		// global stay-id order, which the sharded build's exactness
-		// contract depends on.
-		if err := w.Add(j.Pickup); err != nil {
-			return err
-		}
-		return w.Add(j.Dropoff)
+	err = readInput("journeys", path, func(r io.Reader) (load.Stats, error) {
+		return trajectory.StreamJourneysCSV(r, opts, func(j trajectory.Journey) error {
+			// Pickup then dropoff per journey — core.Stays' canonical
+			// global stay-id order, which the sharded build's
+			// exactness contract depends on.
+			if err := w.Add(j.Pickup); err != nil {
+				return err
+			}
+			return w.Add(j.Dropoff)
+		})
 	})
-	if err != nil {
-		os.Remove(spill)
-		return nil, nil, nil, fmt.Errorf("load journeys %s: %w", journeyPath, err)
+	if cerr := w.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("spill stays: %w", cerr)
 	}
-	if err := w.Close(); err != nil {
-		os.Remove(spill)
-		return nil, nil, nil, fmt.Errorf("spill stays: %w", err)
+	if err != nil {
+		return nil, err
 	}
 	store, err := shard.OpenStayStore(spill)
 	if err != nil {
-		os.Remove(spill)
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if opts.Lenient {
-		if n := jstats.TotalSkipped(); n > 0 {
-			progress("journeys: skipped %d bad rows (%s)", n, jstats)
-		}
-	}
-	progress("loaded %d POIs; spilled %d stays (%d journeys) to %s", len(pois), store.Len(), jstats.Rows, spill)
-	return pois, store, func() { store.Close(); os.Remove(spill) }, nil
+	progress("spilled %d stays to an out-of-core store", store.Len())
+	return store, nil
 }
 
 // buildSharded runs the geo-sharded CSD construction and reports its

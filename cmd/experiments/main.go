@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"csdm/internal/ckpt"
 	"csdm/internal/core"
 	"csdm/internal/experiments"
 	"csdm/internal/index"
@@ -238,18 +239,11 @@ func main() {
 			Quantiles:    rows,
 			Trace:        snap,
 		}
-		f, err := os.Create(*timings)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "timings:", err)
-			os.Exit(1)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintln(os.Stderr, "timings:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
+		if err := ckpt.WriteAtomic(*timings, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(doc)
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "timings:", err)
 			os.Exit(1)
 		}
@@ -257,7 +251,8 @@ func main() {
 	}
 }
 
-// writeSVGs renders the Figure 6 and Figure 14 map views.
+// writeSVGs renders the Figure 6 and Figure 14 map views, each written
+// atomically.
 func writeSVGs(env *experiments.Env, params pattern.Params, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -268,15 +263,9 @@ func writeSVGs(env *experiments.Env, params pattern.Params, dir string) error {
 	if err != nil {
 		return err
 	}
-	f6, err := os.Create(filepath.Join(dir, "fig6.svg"))
-	if err != nil {
-		return err
-	}
-	if err := canvas.Diagram(f6, d); err != nil {
-		f6.Close()
-		return err
-	}
-	if err := f6.Close(); err != nil {
+	if err := ckpt.WriteAtomic(filepath.Join(dir, "fig6.svg"), func(w io.Writer) error {
+		return canvas.Diagram(w, d)
+	}); err != nil {
 		return err
 	}
 
@@ -284,13 +273,7 @@ func writeSVGs(env *experiments.Env, params pattern.Params, dir string) error {
 	if err != nil {
 		return err
 	}
-	f14, err := os.Create(filepath.Join(dir, "fig14.svg"))
-	if err != nil {
-		return err
-	}
-	if err := canvas.Patterns(f14, ps); err != nil {
-		f14.Close()
-		return err
-	}
-	return f14.Close()
+	return ckpt.WriteAtomic(filepath.Join(dir, "fig14.svg"), func(w io.Writer) error {
+		return canvas.Patterns(w, ps)
+	})
 }

@@ -29,15 +29,21 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
 
+	"csdm/internal/ckpt"
 	"csdm/internal/geo"
 	"csdm/internal/poi"
 	"csdm/internal/synth"
 	"csdm/internal/trajectory"
 )
+
+// exitUsage is the exit code of a bad command line, which is rejected
+// before anything is generated or written.
+const exitUsage = 2
 
 func main() {
 	log.SetFlags(0)
@@ -63,49 +69,69 @@ func main() {
 	cfg.NumPassengers = *nPassengers
 	cfg.Days = *days
 
-	if *scenario == "country" {
-		if err := runCountry(cfg, *nCities, *spacing, *poiOut, *journeyOut); err != nil {
-			log.Fatal(err)
-		}
-		return
+	usage := func(format string, args ...any) {
+		log.Printf(format, args...)
+		os.Exit(exitUsage)
 	}
-
-	city := synth.NewCity(cfg)
-	w := city.GenerateWorkload()
-
-	if err := writePOIs(*poiOut, city.POIs); err != nil {
-		log.Fatal(err)
-	}
+	// Each scenario checks its own parameters here, so a bad command
+	// line exits before any output file is touched.
+	var run func() error
 	switch *scenario {
 	case "batch":
-		if err := writeJourneys(*journeyOut, w.Journeys); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %d POIs to %s and %d journeys to %s (mean trip %.1f min)\n",
-			len(city.POIs), *poiOut, len(w.Journeys), *journeyOut,
-			synth.MeanTripMinutes(w.Journeys))
+		run = func() error { return runBatch(cfg, *poiOut, *journeyOut) }
 	case "stream":
 		if *baseFrac <= 0 || *baseFrac >= 1 {
-			log.Fatalf("-base-fraction must be in (0,1), got %g", *baseFrac)
+			usage("-base-fraction must be in (0,1), got %g", *baseFrac)
 		}
-		js := append([]trajectory.Journey(nil), w.Journeys...)
-		sort.SliceStable(js, func(i, k int) bool { return js[i].PickupTime.Before(js[k].PickupTime) })
-		split := int(float64(len(js)) * *baseFrac)
-		if split < 1 || split >= len(js) {
-			log.Fatalf("-base-fraction %g leaves an empty base or stream (%d journeys)", *baseFrac, len(js))
+		run = func() error { return runStream(cfg, *baseFrac, *poiOut, *journeyOut, *streamOut) }
+	case "country":
+		if *nCities < 1 {
+			usage("-cities must be at least 1, got %d", *nCities)
 		}
-		if err := writeJourneys(*journeyOut, js[:split]); err != nil {
-			log.Fatal(err)
+		if *spacing <= 0 {
+			usage("-city-spacing must be positive, got %g", *spacing)
 		}
-		if err := writeJourneys(*streamOut, js[split:]); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %d POIs to %s, %d base journeys to %s, %d stream journeys to %s (split at %s)\n",
-			len(city.POIs), *poiOut, split, *journeyOut, len(js)-split, *streamOut,
-			js[split].PickupTime.Format("2006-01-02 15:04"))
+		run = func() error { return runCountry(cfg, *nCities, *spacing, *poiOut, *journeyOut) }
 	default:
-		log.Fatalf("unknown -scenario %q (want batch, stream or country)", *scenario)
+		usage("unknown -scenario %q (want batch, stream or country)", *scenario)
 	}
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// runBatch writes one city's POIs and its whole journey log.
+func runBatch(cfg synth.Config, poiOut, journeyOut string) error {
+	city := synth.NewCity(cfg)
+	w := city.GenerateWorkload()
+	if err := writeCSVs(city.POIs, poiOut, w.Journeys, journeyOut); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d POIs to %s and %d journeys to %s (mean trip %.1f min)\n",
+		len(city.POIs), poiOut, len(w.Journeys), journeyOut, synth.MeanTripMinutes(w.Journeys))
+	return nil
+}
+
+// runStream sorts one city's journeys by pickup time and splits them at
+// baseFrac into a base log and a delta stream.
+func runStream(cfg synth.Config, baseFrac float64, poiOut, journeyOut, streamOut string) error {
+	city := synth.NewCity(cfg)
+	js := city.GenerateWorkload().Journeys
+	sort.SliceStable(js, func(i, k int) bool { return js[i].PickupTime.Before(js[k].PickupTime) })
+	split := int(float64(len(js)) * baseFrac)
+	if split < 1 || split >= len(js) {
+		return fmt.Errorf("-base-fraction %g leaves an empty base or stream (%d journeys)", baseFrac, len(js))
+	}
+	if err := writeCSVs(city.POIs, poiOut, js[:split], journeyOut); err != nil {
+		return err
+	}
+	if err := writeJourneys(streamOut, js[split:]); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d POIs to %s, %d base journeys to %s, %d stream journeys to %s (split at %s)\n",
+		len(city.POIs), poiOut, split, journeyOut, len(js)-split, streamOut,
+		js[split].PickupTime.Format("2006-01-02 15:04"))
+	return nil
 }
 
 // runCountry generates -cities independent cities on a near-square
@@ -115,12 +141,6 @@ func main() {
 // mining groups journeys by passenger, and two commuters in different
 // cities must never alias.
 func runCountry(cfg synth.Config, cities int, spacing float64, poiOut, journeyOut string) error {
-	if cities < 1 {
-		return fmt.Errorf("-cities must be at least 1, got %d", cities)
-	}
-	if spacing <= 0 {
-		return fmt.Errorf("-city-spacing must be positive, got %g", spacing)
-	}
 	cols := 1
 	for cols*cols < cities {
 		cols++
@@ -152,10 +172,7 @@ func runCountry(cfg synth.Config, cities int, spacing float64, poiOut, journeyOu
 			journeys = append(journeys, j)
 		}
 	}
-	if err := writePOIs(poiOut, pois); err != nil {
-		return err
-	}
-	if err := writeJourneys(journeyOut, journeys); err != nil {
+	if err := writeCSVs(pois, poiOut, journeys, journeyOut); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d POIs to %s and %d journeys to %s (%d cities on a %d-wide grid, %.2f° apart)\n",
@@ -163,26 +180,16 @@ func runCountry(cfg synth.Config, cities int, spacing float64, poiOut, journeyOu
 	return nil
 }
 
-func writePOIs(path string, ps []poi.POI) error {
-	f, err := os.Create(path)
-	if err != nil {
+// writeCSVs writes the POI file and the journey file, each atomically:
+// a failed write leaves the old file or none, never a truncated one.
+func writeCSVs(ps []poi.POI, poiPath string, js []trajectory.Journey, journeyPath string) error {
+	if err := ckpt.WriteAtomic(poiPath, func(w io.Writer) error { return poi.WriteCSV(w, ps) }); err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := poi.WriteCSV(f, ps); err != nil {
-		return err
-	}
-	return f.Close()
+	return writeJourneys(journeyPath, js)
 }
 
+// writeJourneys writes one journey file atomically.
 func writeJourneys(path string, js []trajectory.Journey) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := trajectory.WriteJourneysCSV(f, js); err != nil {
-		return err
-	}
-	return f.Close()
+	return ckpt.WriteAtomic(path, func(w io.Writer) error { return trajectory.WriteJourneysCSV(w, js) })
 }

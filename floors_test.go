@@ -40,10 +40,26 @@ const (
 	// extraction, measured alongside mineAllocsBaseline (~492 MB
 	// before).
 	mineBytesBaseline = 68_144_304
-	// mineAllocTolerance is the relative growth allowed over
-	// mineAllocsBaseline and mineBytesBaseline.
+	// splitterAllocsBaseline and splitterBytesBaseline are the same
+	// measurements for CSD-Splitter extraction, taken once Mean Shift
+	// appended every hill-climb step's neighbours into one buffer
+	// (867 642 allocs and ~494 MB before).
+	splitterAllocsBaseline = 120_127
+	splitterBytesBaseline  = 37_351_022
+	// mineAllocTolerance is the relative growth allowed over each
+	// approach's baselines.
 	mineAllocTolerance = 0.10
 )
+
+// mineCeilings lists the approaches whose workers-1 extraction the
+// allocation ceilings hold, with their committed baselines.
+var mineCeilings = []struct {
+	approach      core.Approach
+	allocs, bytes float64
+}{
+	{core.CSDPM, mineAllocsBaseline, mineBytesBaseline},
+	{core.CSDSplitter, splitterAllocsBaseline, splitterBytesBaseline},
+}
 
 // TestDeltaSpeedupFloor times one full csd.Build of the bench city
 // against one ApplyDelta of its last 1% of stays on a maintainer seeded
@@ -93,8 +109,8 @@ func TestParallelEfficiencyFloor(t *testing.T) {
 	if cores := min(runtime.NumCPU(), runtime.GOMAXPROCS(0)); cores < 4 {
 		t.Skipf("efficiency floor needs 4 cores, have %d", cores)
 	}
-	w1 := testing.Benchmark(mineBench(1))
-	w4 := testing.Benchmark(mineBench(4))
+	w1 := testing.Benchmark(mineBench(core.CSDPM, 1))
+	w4 := testing.Benchmark(mineBench(core.CSDPM, 4))
 	eff := float64(w1.NsPerOp()) / float64(w4.NsPerOp())
 	t.Logf("workers 1: %d ns/op, workers 4: %d ns/op, efficiency %.2fx", w1.NsPerOp(), w4.NsPerOp(), eff)
 	if eff < minParallelEfficiency {
@@ -102,31 +118,40 @@ func TestParallelEfficiencyFloor(t *testing.T) {
 	}
 }
 
-// TestMineAllocCeiling holds workers-1 extraction to the committed
-// allocation count plus mineAllocTolerance.
+// TestMineAllocCeiling holds each approach's workers-1 extraction to
+// its committed allocation count plus mineAllocTolerance.
 func TestMineAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation ceiling skipped in -short")
 	}
-	r := testing.Benchmark(mineBench(1))
-	const ceiling = mineAllocsBaseline * (1 + mineAllocTolerance)
-	t.Logf("workers 1: %d allocs/op (ceiling %.0f)", r.AllocsPerOp(), ceiling)
-	if float64(r.AllocsPerOp()) > ceiling {
-		t.Fatalf("%d allocs/op > ceiling %.0f", r.AllocsPerOp(), ceiling)
+	for _, c := range mineCeilings {
+		t.Run(c.approach.String(), func(t *testing.T) {
+			r := testing.Benchmark(mineBench(c.approach, 1))
+			ceiling := c.allocs * (1 + mineAllocTolerance)
+			t.Logf("workers 1: %d allocs/op (ceiling %.0f)", r.AllocsPerOp(), ceiling)
+			if float64(r.AllocsPerOp()) > ceiling {
+				t.Fatalf("%d allocs/op > ceiling %.0f", r.AllocsPerOp(), ceiling)
+			}
+		})
 	}
 }
 
-// TestMineBytesCeiling holds workers-1 extraction to the committed
-// bytes/op plus mineAllocTolerance: density clustering and the closure
-// allocate in proportion to one neighborhood, not to all of them.
+// TestMineBytesCeiling holds each approach's workers-1 extraction to
+// its committed bytes/op plus mineAllocTolerance: density clustering,
+// Mean Shift and the closure allocate in proportion to one
+// neighbourhood, not to all of them.
 func TestMineBytesCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation ceiling skipped in -short")
 	}
-	r := testing.Benchmark(mineBench(1))
-	const ceiling = mineBytesBaseline * (1 + mineAllocTolerance)
-	t.Logf("workers 1: %d B/op (ceiling %.0f)", r.AllocedBytesPerOp(), ceiling)
-	if float64(r.AllocedBytesPerOp()) > ceiling {
-		t.Fatalf("%d B/op > ceiling %.0f", r.AllocedBytesPerOp(), ceiling)
+	for _, c := range mineCeilings {
+		t.Run(c.approach.String(), func(t *testing.T) {
+			r := testing.Benchmark(mineBench(c.approach, 1))
+			ceiling := c.bytes * (1 + mineAllocTolerance)
+			t.Logf("workers 1: %d B/op (ceiling %.0f)", r.AllocedBytesPerOp(), ceiling)
+			if float64(r.AllocedBytesPerOp()) > ceiling {
+				t.Fatalf("%d B/op > ceiling %.0f", r.AllocedBytesPerOp(), ceiling)
+			}
+		})
 	}
 }

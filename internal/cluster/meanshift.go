@@ -41,10 +41,12 @@ func MeanShift(pts []geo.Point, bandwidth float64, kind index.Kind) MeanShiftRes
 	tol := bandwidth * 0.01
 
 	modes := make([]geo.Meters, n)
+	// One neighbour buffer serves every hill-climb step.
+	var neighbors []int
 	for i := range planar {
 		cur := planar[i]
 		for iter := 0; iter < meanShiftMaxIter; iter++ {
-			neighbors := idx.Within(proj.ToPoint(cur), bandwidth)
+			neighbors = idx.WithinAppend(proj.ToPoint(cur), bandwidth, neighbors[:0])
 			if len(neighbors) == 0 {
 				break
 			}

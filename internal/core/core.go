@@ -323,10 +323,6 @@ func (p *Pipeline) DiagramCtx(ctx context.Context) (*csd.Diagram, error) {
 	return p.diagram.Get(ctx)
 }
 
-// DiagramOrigin reports how the diagram materialized (built, resumed
-// from a checkpoint, installed via UseDiagram, or not yet built).
-func (p *Pipeline) DiagramOrigin() stage.Origin { return p.diagram.Origin() }
-
 // UseDiagram installs a pre-built (e.g. deserialized) diagram instead
 // of constructing one. It must be called before the first DiagramCtx
 // or DatabaseCtx call; afterwards it has no effect.
@@ -338,17 +334,6 @@ func (p *Pipeline) databaseCell(kind RecognizerKind) *stage.Cell[[]trajectory.Se
 		return p.dbROI
 	}
 	return p.dbCSD
-}
-
-// DatabaseArtifact returns the checkpoint artifact name of the kind's
-// database stage, as declared on the stage graph ("db-csd", "db-roi").
-func (p *Pipeline) DatabaseArtifact(kind RecognizerKind) string {
-	return p.databaseCell(kind).Decl().Artifact
-}
-
-// DatabaseOrigin reports how the kind's database materialized.
-func (p *Pipeline) DatabaseOrigin(kind RecognizerKind) stage.Origin {
-	return p.databaseCell(kind).Origin()
 }
 
 // DatabaseCtx returns the annotated semantic-trajectory database for

@@ -1,19 +1,20 @@
 // Package exec is the pipeline's execution layer: context-aware bounded
-// worker pools shared by every stage of the Pervasive Miner. The two
-// entry points, ParallelFor and ParallelMap, split an index range over a
-// fixed number of workers with deterministic result placement — task i's
-// result always lands at slot i — so a stage produces bit-identical
-// output whether it runs on one worker or many. The first error (or a
-// context cancellation) stops the pool and is returned; with a worker
-// budget of one the loop runs inline, reproducing the sequential
-// pipeline exactly.
+// worker pools shared by every stage of the Pervasive Miner. One loop,
+// ParallelForSlots, splits an index range over a fixed number of
+// workers and hands each task its worker slot for per-worker scratch;
+// ParallelFor and ParallelMap wrap it for tasks that need no scratch.
+// Result placement is deterministic — task i's result always lands at
+// slot i — so a stage produces bit-identical output whether it runs on
+// one worker or many. The first error (or a context cancellation)
+// stops the pool and is returned; with a worker budget of one the loop
+// runs inline, reproducing the sequential pipeline exactly.
 //
 // Worker panics never escape the pool: each task runs under a recover
 // that converts a panic into a *PanicError carrying the panicking
 // task's stack, which then propagates through the normal first-error
 // path — the pool drains, siblings are canceled, and the caller gets an
-// error instead of a crashed process. The process-wide panic total is
-// readable via Panics.
+// error instead of a crashed process. Recovered panics are counted as
+// csdm_exec_panics_total when SetMetrics has wired a registry.
 //
 // The package also defines Options, the cross-cutting knob bundle —
 // worker budget plus spatial-index backend — that flows from

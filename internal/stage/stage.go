@@ -266,13 +266,6 @@ func (c *Cell[T]) Checkpoint(codec Codec[T]) *Cell[T] {
 	return c
 }
 
-// Name returns the stage's declared name.
-func (c *Cell[T]) Name() string { return c.decl.Name }
-
-// Decl returns the stage's declaration (the single source of its
-// artifact and file names).
-func (c *Cell[T]) Decl() Decl { return c.decl }
-
 func (c *Cell[T]) info() Info {
 	c.mu.Lock()
 	defer c.mu.Unlock()
