@@ -39,7 +39,15 @@ func DBFile(artifact string) string { return artifact + ".json" }
 // the old file or nothing — never a torn one. The directory is synced
 // after the rename so the new name itself survives a crash. The file
 // gets the mode os.Create would give it: 0666 under the process umask.
+//
+// A path that names an existing non-regular file — a device such as
+// /dev/null, a FIFO, a socket — is written in place instead: renaming
+// over it would replace the device with a regular file, and there is
+// no torn file to protect against.
 func WriteAtomic(path string, write func(io.Writer) error) (err error) {
+	if fi, serr := os.Stat(path); serr == nil && !fi.Mode().IsRegular() {
+		return writeInPlace(path, write)
+	}
 	dir := filepath.Dir(path)
 	tmp, err := createTemp(path)
 	if err != nil {
@@ -66,6 +74,24 @@ func WriteAtomic(path string, write func(io.Writer) error) (err error) {
 	if d, derr := os.Open(dir); derr == nil {
 		d.Sync()
 		d.Close()
+	}
+	return nil
+}
+
+// writeInPlace is WriteAtomic's path for a non-regular target: open it
+// for writing, without creating or truncating it, and write.
+func writeInPlace(path string, write func(io.Writer) error) (err error) {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return fmt.Errorf("ckpt: open %s: %w", path, err)
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("ckpt: close %s: %w", path, cerr)
+		}
+	}()
+	if err = write(f); err != nil {
+		return fmt.Errorf("ckpt: write %s: %w", path, err)
 	}
 	return nil
 }

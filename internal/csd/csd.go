@@ -309,15 +309,17 @@ const ctxPoll = 1024
 
 // fold is the one popularity loop of Equations (2)–(3). Each strip
 // visits the stays of pp in ascending id order, range-queries its grid
-// around each stay and adds the stay's kernel weight to every POI in
-// range, so each POI takes its weights one addition at a time in
-// ascending stay order, whatever the strip layout, the worker count or
-// the order one query returns its ids in. That order is what keeps the
-// three popularity paths exact, because float addition does not
-// associate. The full build folds all stays into zero sums. A delta
-// batch's stays follow every earlier stay, so the Maintainer folding it
-// into the running sums continues each chain where a full build over
-// the union would; pre-summing the batch and adding once would round
+// around each stay, computes the stay's weights to every POI in range
+// in one WeightsCos batch, and adds them in the query's order, so each
+// POI takes its weights one addition at a time in ascending stay order,
+// whatever the strip layout, the worker count or the order one query
+// returns its ids in. The batch changes when a weight is computed, not
+// its bits nor when it is added. That order is what keeps the three
+// popularity paths exact, because float addition does not associate.
+// The full build folds all stays into zero sums. A delta batch's stays
+// follow every earlier stay, so the Maintainer folding it into the
+// running sums continues each chain where a full build over the union
+// would; pre-summing the batch and adding once would round
 // differently. A shard's halo stays come in ascending global id order,
 // so a tile's fold is the full build's chain term for term.
 //
@@ -344,6 +346,7 @@ func (x popIndex) fold(ctx context.Context, workers int, pp *geo.PackedPoints, p
 			hit = make([]bool, len(st.ids))
 		}
 		var buf []int
+		var w []float64
 		for j := range pp.Len() {
 			if j%ctxPoll == 0 {
 				if err := ctx.Err(); err != nil {
@@ -355,8 +358,10 @@ func (x popIndex) fold(ctx context.Context, workers int, pp *geo.PackedPoints, p
 				continue
 			}
 			buf = st.idx.WithinAppend(p, r, buf[:0])
-			for _, k := range buf {
-				acc[k] += x.kernel.WeightCos(st.pp.At(k), st.pp.Cos[k], p, pp.Cos[j])
+			w = slices.Grow(w[:0], len(buf))[:len(buf)]
+			x.kernel.WeightsCos(w, st.pp, buf, p, pp.Cos[j])
+			for t, k := range buf {
+				acc[k] += w[t]
 				if hit != nil {
 					hit[k] = true
 				}

@@ -97,12 +97,22 @@ func CosLat(lat float64) float64 {
 }
 
 // HaversineCos is Haversine with both latitudes' cosines supplied by
-// the caller (cosA = CosLat(a.Lat), cosB = CosLat(b.Lat)). It is the one
-// copy of the formula: Haversine calls it, so a caller that passes the
-// same cosines gets the same bits on every architecture. Its sine and
-// arcsine are this package's sin and asin: math.Sin's and math.Asin's
-// bits, with the small-angle branch every city-scale pair takes inline.
+// the caller (cosA = CosLat(a.Lat), cosB = CosLat(b.Lat)). Haversine
+// calls it, so a caller that passes the same cosines gets the same bits
+// on every architecture. The formula is split into two stages around
+// the square root, haversineH and haversineArc, which
+// GaussianKernel.WeightsCos runs as separate passes over a batch; the
+// stages are the one copy of the formula. Its sine and arcsine are this
+// package's sin and asin: math.Sin's and math.Asin's bits, with the
+// small-angle branch every city-scale pair takes inline.
 func HaversineCos(a Point, cosA float64, b Point, cosB float64) float64 {
+	return haversineArc(math.Sqrt(haversineH(a, cosA, b, cosB)))
+}
+
+// haversineH is the haversine of the central angle between a and b,
+// sin²(Δφ/2) + cos φa·cos φb·sin²(Δλ/2), clamped to 1 so rounding near
+// the antipode cannot push the arcsine's argument past its domain.
+func haversineH(a Point, cosA float64, b Point, cosB float64) float64 {
 	dLat := (b.Lat - a.Lat) * math.Pi / 180
 	dLon := (b.Lon - a.Lon) * math.Pi / 180
 
@@ -112,7 +122,12 @@ func HaversineCos(a Point, cosA float64, b Point, cosB float64) float64 {
 	if h > 1 {
 		h = 1
 	}
-	return 2 * EarthRadiusMeters * asin(math.Sqrt(h))
+	return h
+}
+
+// haversineArc turns √h into the great-circle distance in meters.
+func haversineArc(sqrtH float64) float64 {
+	return 2 * EarthRadiusMeters * asin(sqrtH)
 }
 
 // Meters is a point in a local planar coordinate system, in meters.

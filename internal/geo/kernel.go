@@ -44,10 +44,37 @@ func (k GaussianKernel) WeightDist(d float64) float64 {
 // WeightCos is the kernel weight between a and b with both latitude
 // cosines supplied, as HaversineCos takes them: the same bits as
 // WeightDist(Haversine(a, b)) when cosA = CosLat(a.Lat) and
-// cosB = CosLat(b.Lat). It is the per-pair term of Equations (2)–(3);
-// csd.FoldPopularity passes the POI first and the stay second, reads
-// both cosines from packed Cos columns, and states the order in which
-// the terms are added.
+// cosB = CosLat(b.Lat). It is the per-pair term of Equations (2)–(3)
+// and of Algorithm 3's vote, and the scalar definition WeightsCos
+// batches.
 func (k GaussianKernel) WeightCos(a Point, cosA float64, b Point, cosB float64) float64 {
 	return k.WeightDist(HaversineCos(a, cosA, b, cosB))
+}
+
+// WeightsCos sets dst[t] to WeightCos(poi.At(ids[t]), poi.Cos[ids[t]],
+// stay, cosStay) for every t, bit for bit, POI first and stay second as
+// csd.FoldPopularity orders the pair. dst must hold len(ids) entries.
+//
+// One pair's weight is a single long dependent chain: two sines, √h,
+// a division and a rational arcsine, then math.Exp. Evaluated pair by
+// pair, the CPU waits out each chain before the next begins. WeightsCos
+// runs the same stage helpers HaversineCos runs, each as one pass over
+// the batch whose iterations are independent, so the CPU overlaps the
+// pairs within a pass: the haversine h, then √h, then the arc length,
+// then the Gaussian. Each stage rounds exactly as in the scalar form;
+// only the order of evaluation across pairs changes, never within one.
+func (k GaussianKernel) WeightsCos(dst []float64, poi *PackedPoints, ids []int, stay Point, cosStay float64) {
+	dst = dst[:len(ids)]
+	for t, id := range ids {
+		dst[t] = haversineH(Point{Lon: poi.Lon[id], Lat: poi.Lat[id]}, poi.Cos[id], stay, cosStay)
+	}
+	for t, h := range dst {
+		dst[t] = math.Sqrt(h)
+	}
+	for t, s := range dst {
+		dst[t] = haversineArc(s)
+	}
+	for t, d := range dst {
+		dst[t] = k.WeightDist(d)
+	}
 }

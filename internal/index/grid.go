@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"slices"
 
 	"csdm/internal/geo"
 )
@@ -31,11 +32,14 @@ type Grid struct {
 // cells contiguously: ids holds point IDs grouped by cell in ascending
 // cell order, ascending within each cell, cellStart[c]..cellStart[c+1]
 // delimiting cell c. When the grid would need more than maxDenseCells
-// cells, the sparse map is used instead.
+// cells, the sparse map is used instead, each cell's IDs ascending, and
+// keys lists its occupied cell keys in ascending order, so a sweep of
+// the occupied cells visits them in the box loop's order.
 type cellTable struct {
 	ids       []int
 	cellStart []int
 	sparse    map[int][]int
+	keys      []int
 	// keep, when set, is the membership of a GridView by point ID. The
 	// view's cells already hold only its members; keep filters the
 	// exact fallback, which scans every ID instead of the cells.
@@ -128,8 +132,12 @@ func NewGridPacked(pp *geo.PackedPoints, cellSize float64) *Grid {
 		g.sparse = make(map[int][]int)
 		for i := 0; i < n; i++ {
 			k := g.cellKey(pp.X[i], pp.Y[i])
+			if g.sparse[k] == nil {
+				g.keys = append(g.keys, k)
+			}
 			g.sparse[k] = append(g.sparse[k], i)
 		}
+		slices.Sort(g.keys)
 	}
 	return g
 }
@@ -218,16 +226,17 @@ func (g *Grid) within(t *cellTable, center geo.Point, radius float64, buf []int)
 		return out
 	}
 	// On a sparse grid a wide query box can cover far more cells than
-	// the map holds entries; iterating the occupied cells is cheaper.
-	// The box area is compared in floating point: with per-axis sizes up
-	// to 2³¹ the product can overflow an int.
-	if t.sparse != nil && float64(hiX-loX+1)*float64(hiY-loY+1) > float64(len(t.sparse)) {
-		for key, ids := range t.sparse {
+	// the map holds entries; iterating the occupied cells, in ascending
+	// key order, is cheaper and returns the box loop's order. The box
+	// area is compared in floating point: with per-axis sizes up to 2³¹
+	// the product can overflow an int.
+	if t.sparse != nil && float64(hiX-loX+1)*float64(hiY-loY+1) > float64(len(t.keys)) {
+		for _, key := range t.keys {
 			cx, cy := key%g.cols, key/g.cols
 			if cx < loX || cx > hiX || cy < loY || cy > hiY {
 				continue
 			}
-			for _, id := range ids {
+			for _, id := range t.sparse[key] {
 				buf = test(id, buf)
 			}
 		}

@@ -9,12 +9,11 @@ import (
 // GridView is a grid restricted to a subset of its points. It shares
 // the grid's store, projection, latitude band and cell geometry, and
 // holds its own cell table with only the member IDs of each cell,
-// still in ascending order. A dense grid answers WithinAppend cell by
-// cell in ascending cell key order, so the view's answer is exactly
-// the grid's answer with the non-members removed, in the same order.
-// The exact fallback scans IDs in ascending order on both, and skips
-// non-members on the view; the sparse map sweep visits the view's own
-// map, in its own order, as the grid does.
+// still in ascending order. A grid, dense or sparse, answers
+// WithinAppend cell by cell in ascending cell key order, so the view's
+// answer is exactly the grid's answer with the non-members removed, in
+// the same order. The exact fallback scans IDs in ascending order on
+// both, and skips non-members on the view.
 //
 // The zero value is an empty view. Restrict rebuilds a view in place,
 // so one view's storage serves many subsets of one grid. A view is
@@ -56,7 +55,7 @@ func (v *GridView) Restrict(g *Grid, keep func(id int) bool) {
 			}
 			t.sparse[key] = ids[start:len(ids):len(ids)]
 		}
-		t.ids, t.cellStart = ids, nil
+		t.ids, t.cellStart, t.keys = ids, nil, g.keys
 		return
 	}
 	starts := slices.Grow(t.cellStart[:0], len(g.cellStart))[:len(g.cellStart)]
@@ -69,7 +68,7 @@ func (v *GridView) Restrict(g *Grid, keep func(id int) bool) {
 		}
 		starts[c+1] = len(ids)
 	}
-	t.ids, t.cellStart, t.sparse = ids, starts, nil
+	t.ids, t.cellStart, t.sparse, t.keys = ids, starts, nil, nil
 }
 
 // WithinAppend is the grid's WithinAppend over the view's members: the

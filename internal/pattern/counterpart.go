@@ -50,6 +50,7 @@ func (c *CounterpartCluster) refine(pa coarsePattern, params Params, tr *obs.Tra
 
 	// Line 5–6: OPTICS clusters of the k-th points, σ as minPts.
 	clusters := make([][]int, m) // clusters[k][i] = cluster of trajectory i's k-th point
+	var firsts [][]int           // firsts[c] = the trajectories whose first point is in cluster c, ascending
 	for k := 0; k < m; k++ {
 		pts := make([]geo.Point, n)
 		for i := range pa.stays {
@@ -57,9 +58,17 @@ func (c *CounterpartCluster) refine(pa coarsePattern, params Params, tr *obs.Tra
 		}
 		res := cluster.Optics(pts, c.OpticsMaxEps, params.Sigma, opt).ExtractLeaves(params.Sigma)
 		clusters[k] = res.Labels
+		if k == 0 {
+			firsts = res.Members()
+		}
 	}
 
+	// A counterpart of ST_i shares its first point's cluster, so line
+	// 9's k = 0 filter keeps only ST_i's entry of firsts. One candidate
+	// buffer and one points buffer serve every trajectory.
 	removed := make([]bool, n) // "pa ← pa − …" bookkeeping
+	cand := make([]int, 0, n)
+	var pts []geo.Point
 	var out []Pattern
 	var candidates, pruned int64
 
@@ -68,40 +77,39 @@ func (c *CounterpartCluster) refine(pa coarsePattern, params Params, tr *obs.Tra
 			continue
 		}
 		// Lines 8–14: gather the counterpart candidate set of ST_i.
-		candidate := make([]int, 0, n)
-		for j := 0; j < n; j++ {
-			if !removed[j] {
-				candidate = append(candidate, j)
+		candidate := cand[:0]
+		if ci := clusters[0][i]; ci >= 0 {
+			for _, j := range firsts[ci] {
+				if !removed[j] {
+					candidate = append(candidate, j)
+				}
 			}
 		}
 		valid := true
 		for k := 0; k < m && valid; k++ {
-			ci := clusters[k][i]
-			next := candidate[:0]
-			for _, j := range candidate {
-				if ci >= 0 && clusters[k][j] == ci {
-					next = append(next, j)
-				}
-			}
-			candidate = next
-			// Line 11–12: temporal constraint between consecutive points.
+			// Lines 9–12: the same cluster at position k, and the
+			// temporal constraint between consecutive points.
 			if k > 0 {
-				filtered := candidate[:0]
+				ci := clusters[k][i]
+				next := candidate[:0]
 				for _, j := range candidate {
+					if ci < 0 || clusters[k][j] != ci {
+						continue
+					}
 					gap := pa.stays[j][k].T.Sub(pa.stays[j][k-1].T)
 					if gap < 0 {
 						gap = -gap
 					}
 					if gap <= params.DeltaT {
-						filtered = append(filtered, j)
+						next = append(next, j)
 					}
 				}
-				candidate = filtered
+				candidate = next
 			}
 			// Line 13–14: group density check.
-			pts := make([]geo.Point, len(candidate))
-			for idx, j := range candidate {
-				pts[idx] = pa.stays[j][k].P
+			pts = pts[:0]
+			for _, j := range candidate {
+				pts = append(pts, pa.stays[j][k].P)
 			}
 			if geo.Density(pts) < params.Rho {
 				// The failed candidates leave the coarse pattern.

@@ -229,7 +229,7 @@ func (r *CSDRecognizer) exact(p geo.Point, sc *Scratch) poi.Semantics {
 	for _, m := range sc.ids {
 		i := d.Member(m)
 		uid := d.UnitOf(i)
-		w := d.Pop[i] * kernel.WeightDist(geo.HaversineCos(mp.At(m), mp.Cos[m], p, cosP))
+		w := d.Pop[i] * kernel.WeightCos(mp.At(m), mp.Cos[m], p, cosP)
 		sem := d.POIs[i].Semantics()
 		k := 0
 		for ; k < len(uids); k++ {
