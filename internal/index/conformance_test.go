@@ -205,7 +205,7 @@ func TestWithinAppendMatchesWithin(t *testing.T) {
 // the dense-table check, so the wrapped (negative) product slipped past
 // the threshold and the table allocation paniced. The fixed constructor
 // grows the cell size to the per-axis cap and checks the axes before
-// multiplying, landing in the sparse map.
+// multiplying, landing in the listed table.
 func TestNewGridTinyCellWideExtent(t *testing.T) {
 	pts := []geo.Point{
 		{Lon: 20, Lat: 30},

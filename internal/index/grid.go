@@ -1,7 +1,9 @@
 package index
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"csdm/internal/geo"
@@ -16,6 +18,12 @@ import (
 // The grid scans coordinates through a packed SoA store: candidate
 // tests read the contiguous planar X/Y slices sequentially instead of
 // chasing []Point/[]Meters elements, so cell sweeps run cache-dense.
+//
+// Its memory follows the points, not the extent: the cell table (see
+// cellTable) costs 4 B per id plus at most 64 B per point and about
+// 1 KiB, however many cells the extent spans. A planar query returns
+// its ids in ascending (cell key, id) order; the exact fallback returns
+// them in ascending id order.
 type Grid struct {
 	pp       *geo.PackedPoints
 	proj     geo.Projection
@@ -28,39 +36,70 @@ type Grid struct {
 	cellTable
 }
 
-// cellTable buckets point IDs by grid cell. Dense tables store the
-// cells contiguously: ids holds point IDs grouped by cell in ascending
-// cell order, ascending within each cell, cellStart[c]..cellStart[c+1]
-// delimiting cell c. When the grid would need more than maxDenseCells
-// cells, the sparse map is used instead, each cell's IDs ascending, and
-// keys lists its occupied cell keys in ascending order, so a sweep of
-// the occupied cells visits them in the box loop's order.
+// cellTable buckets point IDs by grid cell in one CSR layout: ids holds
+// the point IDs grouped by cell in ascending cell key order, ascending
+// within each cell, and slot j's IDs are ids[start[j]:start[j+1]].
+// Slots follow the cell keys' order, so the cells of one row of a
+// query box are one run of slots and one contiguous run of ids.
+//
+// How a cell key finds its slot depends on how many cells the extent
+// holds per point:
+//   - direct (occ and keys nil): one slot per cell of the extent, empty
+//     cells included, and slot k is cell k;
+//   - ranked (occ set): one slot per occupied cell; occ is a bitmap of
+//     the occupied cells and occRank counts the occupied cells before
+//     each 64-cell word, so a key's slot is a rank;
+//   - listed (keys set): one slot per occupied cell; keys lists their
+//     cell keys in ascending order, and a binary search finds a slot.
 type cellTable struct {
-	ids       []int
-	cellStart []int
-	sparse    map[int][]int
-	keys      []int
+	ids     []int32
+	start   []int32
+	occ     []uint64
+	occRank []int32
+	keys    []int
 	// keep, when set, is the membership of a GridView by point ID. The
 	// view's cells already hold only its members; keep filters the
 	// exact fallback, which scans every ID instead of the cells.
 	keep []bool
 }
 
-// cell returns the point IDs of cell key k.
-func (t *cellTable) cell(k int) []int {
-	if t.cellStart != nil {
-		return t.ids[t.cellStart[k]:t.cellStart[k+1]]
-	}
-	return t.sparse[k]
+// rank returns the slot of cell key k on a ranked table: the number of
+// occupied cells with keys below k.
+func (t *cellTable) rank(k int) int {
+	w := k >> 6
+	return int(t.occRank[w]) + bits.OnesCount64(t.occ[w]&(1<<(k&63)-1))
 }
 
-// maxDenseCells bounds the contiguous cell table; beyond it the grid
-// falls back to a sparse map (huge extents with tiny cells).
-const maxDenseCells = 1 << 22
+// search returns the slot range [a, b) of the cells whose keys lie in
+// [lo, hi) on a listed table.
+func (t *cellTable) search(lo, hi int) (a, b int) {
+	a, _ = slices.BinarySearch(t.keys, lo)
+	b, _ = slices.BinarySearch(t.keys[a:], hi)
+	return a, a + b
+}
+
+// run returns the IDs of slots [a, b), in the table's order.
+func (t *cellTable) run(a, b int) []int32 {
+	return t.ids[t.start[a]:t.start[b]]
+}
+
+// The cell budgets of the table layouts, for n points: a direct table
+// while the extent holds at most directPerPoint·n + directSlack cells
+// (4 B each), a ranked one while it holds at most rankedPerPoint·n +
+// rankedSlack (12 B per 64 cells), and a listed one beyond. Either
+// budget keeps the table within 64 B per point. Member indexes,
+// popularity strips and the closure's stay grid are direct; the ε_p and
+// merge grids, mostly empty 30 m and 150 m cells, are ranked.
+const (
+	directPerPoint = 16
+	directSlack    = 64
+	rankedPerPoint = 256
+	rankedSlack    = 4096
+)
 
 // maxGridDim caps the cell count of a single axis. Keeping each axis
 // under 2³¹ guarantees the combined cell key cy·cols+cx fits a 64-bit
-// int, so sparse keys stay unique even for extreme extent/cell-size
+// int, so cell keys stay unique even for extreme extent/cell-size
 // combinations; the cell size is grown to fit when a caller's hint
 // would exceed the cap.
 const maxGridDim = 1 << 31
@@ -75,7 +114,16 @@ func NewGrid(pts []geo.Point, cellSize float64) *Grid {
 // NewGridPacked builds a grid over a packed coordinate store, batch-
 // projecting it at the centroid unless already projected. The grid
 // aliases the store's slices; the caller must not mutate pp afterwards.
+// The store must hold fewer than 2³¹ points.
 func NewGridPacked(pp *geo.PackedPoints, cellSize float64) *Grid {
+	n := pp.Len()
+	return newGridPacked(pp, cellSize, directPerPoint*n+directSlack, rankedPerPoint*n+rankedSlack)
+}
+
+// newGridPacked is NewGridPacked with the layouts' cell budgets given:
+// the table is direct when the extent holds at most maxDirect cells,
+// ranked when it holds at most maxRanked, and listed otherwise.
+func newGridPacked(pp *geo.PackedPoints, cellSize float64, maxDirect, maxRanked int) *Grid {
 	if cellSize <= 0 {
 		cellSize = 100
 	}
@@ -83,9 +131,13 @@ func NewGridPacked(pp *geo.PackedPoints, cellSize float64) *Grid {
 		pp:       pp,
 		cellSize: cellSize,
 	}
-	if pp.Len() == 0 {
+	n := pp.Len()
+	if n == 0 {
 		g.proj = geo.NewProjection(geo.Point{})
 		return g
+	}
+	if n > math.MaxInt32 {
+		panic("index: a grid takes fewer than 2³¹ points")
 	}
 	g.proj = pp.EnsureProjected()
 	g.lats.Min, g.lats.Max = pp.LatBounds()
@@ -100,46 +152,100 @@ func NewGridPacked(pp *geo.PackedPoints, cellSize float64) *Grid {
 	g.minX, g.minY = minX, minY
 	// A tiny cell size over a wide extent must not overflow the cell
 	// arithmetic: grow the cells until both axes fit the per-axis cap.
-	// The axis dimensions are then checked against the dense-table
-	// budget BEFORE multiplying them — cols·rows itself can exceed an
-	// int for extents the per-axis cap still allows.
+	// The axis dimensions are then checked against the layout budgets
+	// BEFORE multiplying them — cols·rows itself can exceed an int for
+	// extents the per-axis cap still allows.
 	if span := math.Max(maxX-minX, maxY-minY); span/g.cellSize >= maxGridDim-1 {
 		g.cellSize = span / (maxGridDim - 2)
 	}
 	g.cols = int((maxX-minX)/g.cellSize) + 1
 	g.rows = int((maxY-minY)/g.cellSize) + 1
+	fits := func(budget int) bool { return g.cols <= budget && g.rows <= budget/g.cols }
 
-	n := pp.Len()
-	if g.cols <= maxDenseCells && g.rows <= maxDenseCells/g.cols {
-		// Counting-sort the points into a contiguous cell table.
-		nCells := g.cols * g.rows
-		g.cellStart = make([]int, nCells+1)
-		keys := make([]int, n)
-		for i := 0; i < n; i++ {
-			keys[i] = g.cellKey(pp.X[i], pp.Y[i])
-			g.cellStart[keys[i]+1]++
-		}
-		for c := 0; c < nCells; c++ {
-			g.cellStart[c+1] += g.cellStart[c]
-		}
-		g.ids = make([]int, n)
-		fill := make([]int, nCells)
-		for i, k := range keys {
-			g.ids[g.cellStart[k]+fill[k]] = i
-			fill[k]++
-		}
-	} else {
-		g.sparse = make(map[int][]int)
+	g.ids = make([]int32, n)
+	switch {
+	case fits(maxDirect):
+		g.start = make([]int32, g.cols*g.rows+1)
+	case fits(maxRanked):
+		words := g.cols*g.rows>>6 + 1
+		g.occ = make([]uint64, words)
+		g.occRank = make([]int32, words)
 		for i := 0; i < n; i++ {
 			k := g.cellKey(pp.X[i], pp.Y[i])
-			if g.sparse[k] == nil {
-				g.keys = append(g.keys, k)
-			}
-			g.sparse[k] = append(g.sparse[k], i)
+			g.occ[k>>6] |= 1 << (k & 63)
 		}
-		slices.Sort(g.keys)
+		occupied := 0
+		for w, word := range g.occ {
+			g.occRank[w] = int32(occupied)
+			occupied += bits.OnesCount64(word)
+		}
+		g.start = make([]int32, occupied+1)
+	default:
+		g.list()
+		return g
+	}
+	// Counting sort: count each point into its cell's slot, turn the
+	// counts into slot ends, then place the ids in descending order at
+	// each slot's end, which leaves every slot at its cell's start and
+	// every cell ascending.
+	slots := len(g.start) - 1
+	for i := 0; i < n; i++ {
+		g.start[g.slotOf(i)]++
+	}
+	for s := 1; s < slots; s++ {
+		g.start[s] += g.start[s-1]
+	}
+	g.start[slots] = int32(n)
+	for i := n - 1; i >= 0; i-- {
+		s := g.slotOf(i)
+		g.start[s]--
+		g.ids[g.start[s]] = int32(i)
 	}
 	return g
+}
+
+// slotOf returns the slot of point i's cell on a direct or ranked table.
+func (g *Grid) slotOf(i int) int {
+	k := g.cellKey(g.pp.X[i], g.pp.Y[i])
+	if g.occ != nil {
+		return g.rank(k)
+	}
+	return k
+}
+
+// list builds a listed table: it sorts the ids by (cell key, id), then
+// lists each distinct key once with the start of its run.
+func (g *Grid) list() {
+	type cellID struct {
+		key int
+		id  int32
+	}
+	byCell := make([]cellID, len(g.ids))
+	for i := range byCell {
+		byCell[i] = cellID{g.cellKey(g.pp.X[i], g.pp.Y[i]), int32(i)}
+	}
+	slices.SortFunc(byCell, func(a, b cellID) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	occupied := 0
+	for j, c := range byCell {
+		g.ids[j] = c.id
+		if j == 0 || c.key != byCell[j-1].key {
+			occupied++
+		}
+	}
+	g.keys = make([]int, 0, occupied)
+	g.start = make([]int32, 0, occupied+1)
+	for j, c := range byCell {
+		if j == 0 || c.key != byCell[j-1].key {
+			g.keys = append(g.keys, c.key)
+			g.start = append(g.start, int32(j))
+		}
+	}
+	g.start = append(g.start, int32(len(byCell)))
 }
 
 func (g *Grid) cellCoords(x, y float64) (cx, cy int) {
@@ -203,6 +309,9 @@ func (g *Grid) within(t *cellTable, center geo.Point, radius float64, buf []int)
 	loY = max(loY, 0)
 	hiX = min(hiX, g.cols-1)
 	hiY = min(hiY, g.rows-1)
+	if loX > hiX || loY > hiY {
+		return buf // the box misses the extent: no slot range to read
+	}
 
 	// Candidates clearly inside or outside by the planar metric skip the
 	// exact spherical check; only the boundary shell — whose width the
@@ -225,28 +334,35 @@ func (g *Grid) within(t *cellTable, center geo.Point, radius float64, buf []int)
 		}
 		return out
 	}
-	// On a sparse grid a wide query box can cover far more cells than
-	// the map holds entries; iterating the occupied cells, in ascending
-	// key order, is cheaper and returns the box loop's order. The box
-	// area is compared in floating point: with per-axis sizes up to 2³¹
-	// the product can overflow an int.
-	if t.sparse != nil && float64(hiX-loX+1)*float64(hiY-loY+1) > float64(len(t.keys)) {
-		for _, key := range t.keys {
-			cx, cy := key%g.cols, key/g.cols
-			if cx < loX || cx > hiX || cy < loY || cy > hiY {
+	// A listed table can hold far fewer cells than a wide query box
+	// covers; sweeping its keys from the box's first row to its last
+	// is then cheaper, in the same ascending key order. The box area is
+	// compared in floating point: with per-axis sizes up to 2³¹ the
+	// product can overflow an int.
+	if t.keys != nil && float64(hiX-loX+1)*float64(hiY-loY+1) > float64(len(t.keys)) {
+		a, b := t.search(loY*g.cols+loX, hiY*g.cols+hiX+1)
+		for j := a; j < b; j++ {
+			if cx := t.keys[j] % g.cols; cx < loX || cx > hiX {
 				continue
 			}
-			for _, id := range t.sparse[key] {
-				buf = test(id, buf)
+			for _, id := range t.run(j, j+1) {
+				buf = test(int(id), buf)
 			}
 		}
 		return buf
 	}
+	// One row of the box is one run of consecutive cell keys, so one
+	// run of slots and one contiguous run of ids.
 	for cy := loY; cy <= hiY; cy++ {
-		for cx := loX; cx <= hiX; cx++ {
-			for _, id := range t.cell(cy*g.cols + cx) {
-				buf = test(id, buf)
-			}
+		a, b := cy*g.cols+loX, cy*g.cols+hiX+1
+		switch {
+		case t.occ != nil:
+			a, b = t.rank(a), t.rank(b)
+		case t.keys != nil:
+			a, b = t.search(a, b)
+		}
+		for _, id := range t.run(a, b) {
+			buf = test(int(id), buf)
 		}
 	}
 	return buf

@@ -9,10 +9,15 @@
 // All indexes are immutable after construction and safe for concurrent
 // readers. Query results are point IDs: positions in the point slice the
 // index was built from, so callers can keep payloads in parallel slices.
-// Range results come in unspecified order, and no caller needs another:
-// the popularity fold queries a grid over the POIs around one stay at a
-// time, so each returned POI takes exactly one term per query and the
-// order of the ids cannot reach a sum.
+//
+// Range results come in an order each backend fixes and the Index
+// interface does not: a grid's planar query returns ascending (cell
+// key, id) and its exact fallback ascending id, and the trees return
+// their own traversal order. The order is deterministic per backend,
+// and it reaches outputs. The popularity fold is immune, since each
+// returned POI takes exactly one term per query. OPTICS is not: its
+// seed-queue ties follow neighbour order, so the same input can mine a
+// different pattern set on another backend (DESIGN.md §5b).
 package index
 
 import (
@@ -33,12 +38,12 @@ import (
 // meridian.
 type Index interface {
 	// Within returns the IDs of all points within radius meters of
-	// center (inclusive), in unspecified order. It is WithinAppend with
-	// a nil buffer.
+	// center (inclusive), in the backend's order. It is WithinAppend
+	// with a nil buffer.
 	Within(center geo.Point, radius float64) []int
 	// WithinAppend appends the IDs of all points within radius meters
-	// of center (inclusive, unspecified order) to buf and returns the
-	// extended slice — the allocation-free query path for hot loops
+	// of center (inclusive, in the backend's order) to buf and returns
+	// the extended slice — the allocation-free query path for hot loops
 	// that reuse a scratch buffer across calls.
 	//
 	// Aliasing contract: the index never retains buf or the returned

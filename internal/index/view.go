@@ -7,13 +7,13 @@ import (
 )
 
 // GridView is a grid restricted to a subset of its points. It shares
-// the grid's store, projection, latitude band and cell geometry, and
-// holds its own cell table with only the member IDs of each cell,
-// still in ascending order. A grid, dense or sparse, answers
-// WithinAppend cell by cell in ascending cell key order, so the view's
-// answer is exactly the grid's answer with the non-members removed, in
-// the same order. The exact fallback scans IDs in ascending order on
-// both, and skips non-members on the view.
+// the grid's store, projection, latitude band, cell geometry and map
+// from cell keys to slots, and holds its own ids and slot starts with
+// only the member IDs of each cell, still in ascending order. The grid
+// answers WithinAppend cell by cell in ascending cell key order, so the
+// view's answer is exactly the grid's answer with the non-members
+// removed, in the same order. The exact fallback scans IDs in
+// ascending order on both, and skips non-members on the view.
 //
 // The zero value is an empty view. Restrict rebuilds a view in place,
 // so one view's storage serves many subsets of one grid. A view is
@@ -28,47 +28,28 @@ type GridView struct {
 // nothing.
 func (v *GridView) Restrict(g *Grid, keep func(id int) bool) {
 	n := g.pp.Len()
-	if v.g != g {
-		clear(v.cells.sparse)
-	}
 	v.g = g
 	t := &v.cells
 	t.keep = slices.Grow(t.keep[:0], n)[:n]
 	for id := range t.keep {
 		t.keep[id] = keep(id)
 	}
-	// Member IDs are copied into one buffer of capacity n, so appending
-	// never moves the cells already filled.
-	ids := slices.Grow(t.ids[:0], n)
-	if g.cellStart == nil {
-		// The view's map keeps every key of the grid's map, empty
-		// cells included, so a warm rebuild inserts no key.
-		if t.sparse == nil {
-			t.sparse = make(map[int][]int, len(g.sparse))
-		}
-		for key, cell := range g.sparse {
-			start := len(ids)
-			for _, id := range cell {
-				if t.keep[id] {
-					ids = append(ids, id)
-				}
-			}
-			t.sparse[key] = ids[start:len(ids):len(ids)]
-		}
-		t.ids, t.cellStart, t.keys = ids, nil, g.keys
-		return
-	}
-	starts := slices.Grow(t.cellStart[:0], len(g.cellStart))[:len(g.cellStart)]
-	starts[0] = 0
-	for c := 0; c+1 < len(g.cellStart); c++ {
-		for _, id := range g.ids[g.cellStart[c]:g.cellStart[c+1]] {
+	// The view keeps every slot of the grid, empty ones included, so it
+	// shares the grid's map from keys to slots and only filters each
+	// slot's IDs.
+	ids := slices.Grow(t.ids[:0], len(g.ids))
+	start := slices.Grow(t.start[:0], len(g.start))
+	for j := 0; j+1 < len(g.start); j++ {
+		start = append(start, int32(len(ids)))
+		for _, id := range g.run(j, j+1) {
 			if t.keep[id] {
 				ids = append(ids, id)
 			}
 		}
-		starts[c+1] = len(ids)
 	}
-	t.ids, t.cellStart, t.sparse, t.keys = ids, starts, nil, nil
+	start = append(start, int32(len(ids)))
+	t.ids, t.start = ids, start
+	t.occ, t.occRank, t.keys = g.occ, g.occRank, g.keys
 }
 
 // WithinAppend is the grid's WithinAppend over the view's members: the

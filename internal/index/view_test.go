@@ -12,12 +12,11 @@ import (
 // query and radius, the view's WithinAppend must equal the full grid's
 // WithinAppend with the masked-out ids removed, element by element,
 // and leave the caller's prefix untouched. The cases reach every grid
-// path: the dense table at city scale and at high latitude, a sparse
-// grid per key, the exact fallback (a continent-scale radius, and a
-// hull touching the pole) and an empty grid. The sparse map sweep
-// visits a map in its iteration order, which neither side defines, so
-// at those radii the two answers are compared as sets. One view's
-// storage serves every mask of every grid.
+// path: the direct table at city scale and at high latitude, the
+// ranked table over mostly empty cells, the listed table by rows and
+// by its sweep (the 50 and 500 km radii), the exact fallback (a
+// continent-scale radius, and a hull touching the pole) and an empty
+// grid. One view's storage serves every mask of every grid.
 func TestGridViewIsFilteredGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	var wide, pole []geo.Point
@@ -31,28 +30,30 @@ func TestGridViewIsFilteredGrid(t *testing.T) {
 	cases := []struct {
 		name    string
 		pts     []geo.Point
+		layout  string
 		hint    float64
 		radii   []float64
-		setOnly []float64 // radii answered by the sparse map sweep
 		queries []geo.Point
 	}{
-		{name: "dense", pts: randomPoints(rng, 3000, 2000), hint: 100,
+		{name: "dense", pts: randomPoints(rng, 3000, 2000), layout: "direct", hint: 100,
 			radii: []float64{0, 30, 100, 150, 1500, 5e6}, queries: randomPoints(rng, 30, 2200)},
-		{name: "high-latitude", pts: highLat, hint: 100,
+		{name: "high-latitude", pts: highLat, layout: "direct", hint: 100,
 			radii: []float64{0, 100, 800, 5e6}, queries: highLat[:30]},
-		{name: "sparse", pts: wide, hint: 10,
-			radii: []float64{0, 30}, setOnly: []float64{5e4, 5e5}, queries: wide[:30]},
-		{name: "pole", pts: pole, hint: 100,
+		{name: "ranked", pts: randomPoints(rng, 300, 3000), layout: "ranked", hint: 30,
+			radii: []float64{0, 30, 100, 1500, 5e6}, queries: randomPoints(rng, 30, 3300)},
+		{name: "sparse", pts: wide, layout: "listed", hint: 10,
+			radii: []float64{0, 30, 5e4, 5e5}, queries: wide[:30]},
+		{name: "pole", pts: pole, layout: "ranked", hint: 100,
 			radii: []float64{0, 2e3, 60e3}, queries: pole[:20]},
-		{name: "empty", hint: 100,
+		{name: "empty", layout: "direct", hint: 100,
 			radii: []float64{100}, queries: []geo.Point{origin}},
 	}
 	var v GridView
 	var full, buf []int
 	for _, tc := range cases {
 		g := NewGrid(tc.pts, tc.hint)
-		if (g.sparse != nil) != (tc.name == "sparse") {
-			t.Fatalf("%s: grid sparse = %v", tc.name, g.sparse != nil)
+		if layout(g) != tc.layout {
+			t.Fatalf("%s: got a %s table, want %s", tc.name, layout(g), tc.layout)
 		}
 		n := len(tc.pts)
 		masks := [][]bool{make([]bool, n), make([]bool, n)}
@@ -69,7 +70,7 @@ func TestGridViewIsFilteredGrid(t *testing.T) {
 		for mi, mask := range masks {
 			v.Restrict(g, func(id int) bool { return mask[id] })
 			for _, q := range tc.queries {
-				for _, r := range append(tc.radii, tc.setOnly...) {
+				for _, r := range tc.radii {
 					full = g.WithinAppend(q, r, full[:0])
 					want := []int{-7}
 					for _, id := range full {
@@ -78,13 +79,7 @@ func TestGridViewIsFilteredGrid(t *testing.T) {
 						}
 					}
 					buf = v.WithinAppend(q, r, append(buf[:0], -7))
-					got := buf
-					if slices.Contains(tc.setOnly, r) {
-						got = append([]int(nil), buf...)
-						slices.Sort(got[1:])
-						slices.Sort(want[1:])
-					}
-					if !slices.Equal(got, want) {
+					if got := buf; !slices.Equal(got, want) {
 						t.Fatalf("%s, mask %d: view WithinAppend(%v, %g) = %v, filtered grid = %v",
 							tc.name, mi, q, r, got, want)
 					}
@@ -95,14 +90,18 @@ func TestGridViewIsFilteredGrid(t *testing.T) {
 }
 
 // TestGridViewRestrictWarmAllocs holds a rebuild of a view of the same
-// grid to zero allocations, on a dense and on a sparse grid.
+// grid to zero allocations, on every layout.
 func TestGridViewRestrictWarmAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	var wide []geo.Point
 	for i := 0; i < 400; i++ {
 		wide = append(wide, geo.Point{Lon: 115 + rng.Float64()*10, Lat: 25 + rng.Float64()*10})
 	}
-	for _, g := range []*Grid{NewGrid(randomPoints(rng, 3000, 2000), 100), NewGrid(wide, 10)} {
+	for _, g := range []*Grid{
+		NewGrid(randomPoints(rng, 3000, 2000), 100),
+		NewGrid(randomPoints(rng, 300, 3000), 30),
+		NewGrid(wide, 10),
+	} {
 		mask := make([]bool, g.Len())
 		keep := func(id int) bool { return mask[id] }
 		var v GridView
@@ -116,7 +115,7 @@ func TestGridViewRestrictWarmAllocs(t *testing.T) {
 			v.Restrict(g, keep)
 		})
 		if allocs != 0 {
-			t.Fatalf("sparse=%v: warm Restrict made %v allocations, want 0", g.sparse != nil, allocs)
+			t.Fatalf("%s: warm Restrict made %v allocations, want 0", layout(g), allocs)
 		}
 	}
 }
